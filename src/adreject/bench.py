@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .bounds import expected_cost_upper_bound
+from .bounds import expected_cost_upper_bound, rejection_rate_estimate
 from .core import (
     CostSpec,
+    DegenerateStabilityMap,
     DomainError,
     EmptyResults,
     InsufficientData,
@@ -44,8 +45,6 @@ from .core import (
 )
 from .detectors import DetectorSpec, fit_detector
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
-from .bounds import rejection_rate_estimate
-from .core import DegenerateStabilityMap
 
 __all__ = [
     "METHODS",

@@ -28,9 +28,9 @@ from .core import (
     ToleranceSpec,
 )
 from .stability import (
-    in_sample_frequencies,
     reject_from_tails,
-    stability_inverse,
+    rejection_cutoffs,
+    stability_inverse,  # noqa: F401 -- perfbench/spans.py times calls through this name
     stability_tails,
 )
 
@@ -199,11 +199,14 @@ class RateEstimate:
 def rejection_rate_estimate(train: ScoreSet, tol: ToleranceSpec) -> RateEstimate:
     """Estimate the rejection rate from the training sample.
 
-    The band edges ``exp(-T)`` and ``1 - exp(-T)`` are pulled back
-    through the stability map to frequencies ``psi_lo, psi_hi``; the
-    empirical CDF of in-sample training frequencies evaluated there
-    gives ``A = F(psi_lo)`` and ``B = F(psi_hi)``, and
-    ``r_hat = B - A``.
+    The band is pulled back to the integer counts ``k_lo <= j < k_hi``
+    of :func:`rejection_cutoffs`, found by an integer search over ``j``
+    in ``[0, n]`` that evaluates a few dozen tails at most.  ``A`` is the fraction of training scores whose own count
+    ``j_i = |{s <= s_i}|`` lies below ``k_lo`` (confident normals),
+    ``B`` the fraction below ``k_hi``, and ``r_hat = B - A``, which is
+    exactly the fraction of training scores :func:`adreject.rejector.fit`
+    rejects in sample.  Works for every ``T`` the tolerance accepts up to
+    the ``1e-250`` floor of the tail routine (``T`` about 575).
 
     Raises
     ------
@@ -212,13 +215,25 @@ def rejection_rate_estimate(train: ScoreSet, tol: ToleranceSpec) -> RateEstimate
         rejector in that regime should catch this and report a zero
         estimate (nothing is ever rejected there).
     """
-    n, gamma = train.n, train.gamma
-    psi_lo = stability_inverse(tol.band_edge, n, gamma)
-    psi_hi = stability_inverse(1.0 - tol.band_edge, n, gamma)
-    psis = np.sort(in_sample_frequencies(train))
-    a = np.searchsorted(psis, psi_lo, side="right") / n
-    b = np.searchsorted(psis, psi_hi, side="right") / n
-    return RateEstimate(below_band=float(a), up_to_band=float(b))
+    k_lo, k_hi = rejection_cutoffs(train.n, train.gamma, tol)
+    return RateEstimate(
+        below_band=_count_below(train, k_lo), up_to_band=_count_below(train, k_hi)
+    )
+
+
+def _count_below(train: ScoreSet, k: int) -> float:
+    """Fraction of training scores whose count ``j_i`` is below ``k``.
+
+    ``j_i < k`` holds exactly for the scores strictly below the ``k``-th
+    smallest, ties included, since that one and its ties count at least
+    ``k``.
+    """
+    if k <= 0:
+        return 0.0
+    if k > train.n:
+        return 1.0
+    ss = train.sorted_scores
+    return float(np.searchsorted(ss, ss[k - 1], side="left") / train.n)
 
 
 @dataclass(frozen=True)

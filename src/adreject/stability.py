@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaincinv, gammaln
 
 from .core import (
     DegenerateStabilityMap,
@@ -37,6 +37,7 @@ __all__ = [
     "confidence",
     "in_rejection_band",
     "reject_from_tails",
+    "rejection_cutoffs",
     "stability_inverse",
 ]
 
@@ -86,13 +87,42 @@ def _log_binom_coeffs(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, lc
 
 
+# A tail sum keeps the terms within this many nats of its leading term.
+# Each term further down is below exp(-40) ~ 4e-18 of the running sum,
+# under half an ulp, so adding it in index order changes nothing.
+_TAIL_NATS = 40.0
+
+
 def _log_binom_tail_many(k: int, n: int, qs: np.ndarray) -> np.ndarray:
-    """log P(X >= k) by log-space summation, vectorized over ``qs``."""
+    """log P(X >= k) by log-space summation, vectorized over ``qs``.
+
+    Terms are added in index order from ``k``.  Where the successive-term
+    ratio ``r = (n-k)/(k+1) * q/(1-q)`` at ``k`` is below 1 the terms fall
+    at least geometrically, so only the first ``ceil(40 / -ln r) + 1``
+    can change the sum; elsewhere all ``n - k + 1`` are summed.  Points
+    are grouped by that count rounded up to a power of two, which keeps
+    the work per point bounded and the number of groups logarithmic.
+    """
     if k <= 0:
         return np.zeros(qs.shape)
     if k > n:
         return np.full(qs.shape, -np.inf)
     i, lc = _log_binom_coeffs(k, n)
+    ratio = (n - k) / (k + 1) * qs / (1.0 - qs)
+    terms = np.full(qs.shape, float(i.size))
+    falling = ratio < 1.0
+    with np.errstate(divide="ignore"):  # ratio 0 at k == n: one term
+        terms[falling] = np.ceil(_TAIL_NATS / -np.log(ratio[falling])) + 1.0
+    widths = np.minimum(np.exp2(np.ceil(np.log2(terms))), i.size).astype(np.intp)
+    out = np.empty(qs.shape)
+    for w in np.unique(widths):
+        sel = widths == w
+        out[sel] = _log_sum_terms(i[:w], lc[:w], n, qs[sel])
+    return out
+
+
+def _log_sum_terms(i: np.ndarray, lc: np.ndarray, n: int, qs: np.ndarray) -> np.ndarray:
+    """log of the sum over ``i`` of C(n, i) q^i (1-q)^(n-i), for each q."""
     out = np.empty(qs.shape)
     # Chunk so the (terms x points) matrix stays modest in memory.
     step = max(1, 4_000_000 // i.size)
@@ -104,7 +134,9 @@ def _log_binom_tail_many(k: int, n: int, qs: np.ndarray) -> np.ndarray:
             + (n - i)[:, None] * np.log1p(-qc)[None, :]
         )
         m = t.max(axis=0)
-        out[lo:lo + step] = m + np.log(np.exp(t - m).sum(axis=0))
+        # cumsum adds in index order for any number of points; sum(axis=0)
+        # switches to pairwise summation when there is only one.
+        out[lo:lo + step] = m + np.log(np.exp(t - m).cumsum(axis=0)[-1])
     return out
 
 
@@ -255,6 +287,102 @@ def reject_from_tails(upper, lower, tol: ToleranceSpec):
     lo = np.asarray(lower, dtype=float)
     out = (up >= edge) & (lo >= edge)
     return bool(out) if up.ndim == 0 else out
+
+
+def _tail_at(k: int, n: int, q: float) -> float:
+    """:func:`_binom_upper_tail` at one point with ``1 <= k <= n``.
+
+    The same value bit for bit; a trusted incomplete-beta result skips
+    the array set-up, which dominates at a single point.
+    """
+    p = float(betainc(float(k), n - float(k) + 1.0, q))
+    if math.isfinite(p) and p >= _BETAINC_TRUST_FLOOR:
+        return p
+    return float(_binom_upper_tail(k, n, q))
+
+
+def _first_count(n: int, reaches, guess: float) -> int:
+    """Smallest ``j`` in ``[0, n]`` with ``reaches(j)``, or ``n + 1`` if
+    none does; ``reaches`` must be monotone in ``j``.
+
+    Steps outward from ``guess`` with doubling strides until the answer
+    is bracketed, then bisects: a close guess costs two evaluations, a
+    poor one only a few more than plain bisection.
+    """
+    lo, hi = -1, n + 1  # reaches(lo) is false and reaches(hi) true
+    j = int(min(max(guess, 0.0), float(n))) if math.isfinite(guess) else n // 2
+    step = 1
+    if reaches(j):
+        hi = j
+        while hi - step > lo and reaches(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        lo = j
+        while lo + step < hi and not reaches(lo + step):
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def rejection_cutoffs(n: int, gamma: float, tol: ToleranceSpec) -> tuple[int, int]:
+    """Training counts bounding the rejection band.
+
+    A score with training frequency ``psi_n = j / n`` is rejected iff
+    ``k_lo <= j < k_hi``.  ``k_lo`` is the first ``j`` whose upper tail
+    reaches ``exp(-T)``; ``k_hi`` the first whose lower tail falls below
+    it.  The upper tail rises and the lower falls with ``j``, so each is
+    an integer search over ``[0, n]`` (``n + 1`` means never), started at
+    the continuous inverse of the tail and decided on the tails exactly
+    as :func:`stability_tails` computes them at ``psi_n = j / n``.
+    Deciding the upper edge on the lower tail keeps ``1 - exp(-T)`` from
+    rounding to 1 at large ``T``.
+
+    Raises
+    ------
+    DomainError
+        If ``exp(-T)`` is below ``1e-250`` (``T`` above about 575), where
+        the tails are not trusted.
+    DegenerateStabilityMap
+        If ``floor(n * gamma) == 0``: nothing is ever rejected.
+    """
+    _validate_n_gamma(n, gamma)
+    edge = tol.band_edge
+    if edge < _BETAINC_TRUST_FLOOR:
+        raise DomainError(
+            f"exp(-T) = {edge:.3g} is below the {_BETAINC_TRUST_FLOOR:g} floor "
+            f"of the tail computation; T must be at most "
+            f"{-math.log(_BETAINC_TRUST_FLOOR):.1f}, got {tol.T}"
+        )
+    a = anomaly_count(n, gamma)
+    if a == 0:
+        raise DegenerateStabilityMap(
+            f"floor(n * gamma) == 0 for n={n}, gamma={gamma}"
+        )
+    k = n - a + 1
+
+    def q(j: int) -> float:
+        return (1.0 + n * (j / n)) / (2.0 + n)
+
+    # q(j) = (1 + j) / (n + 2) in exact arithmetic, so a tail's inverse
+    # in q gives the count where the search starts.
+    q_lo = float(betaincinv(k, a, edge))
+    q_hi = 1.0 - float(betaincinv(a, k, edge))
+    k_lo = _first_count(
+        n, lambda j: _tail_at(k, n, q(j)) >= edge, (n + 2) * q_lo - 1.0
+    )
+    k_hi = _first_count(
+        n, lambda j: _tail_at(a, n, 1.0 - q(j)) < edge, (n + 2) * q_hi - 1.0
+    )
+    return k_lo, k_hi
 
 
 def stability_inverse(

@@ -7,11 +7,13 @@ with the package internals beyond the public parameter conventions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import betainc, gammaln
 
 
 def brute_binom_upper_tail(k: int, n: int, q: Fraction) -> Fraction:
@@ -47,6 +49,88 @@ def brute_stability(psi: float, n: int, gamma: float) -> Fraction:
         return Fraction(0)
     q = (1 + n * Fraction(psi)) / (n + 2)
     return brute_binom_upper_tail(n - a + 1, n, q)
+
+
+def full_range_log_binom_tail(k: int, n: int, qs: np.ndarray) -> np.ndarray:
+    """log P(X >= k) for each q, summing every term ``k..n`` in index order.
+
+    The package's log-space term formula and order of additions with no
+    term left out, so a truncated sum must reproduce it bit for bit.
+    """
+    if k <= 0:
+        return np.zeros(qs.shape)
+    if k > n:
+        return np.full(qs.shape, -np.inf)
+    i = np.arange(k, n + 1, dtype=float)
+    lc = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    out = np.empty(qs.shape)
+    step = max(1, 4_000_000 // i.size)
+    for lo in range(0, qs.size, step):
+        qc = qs[lo:lo + step]
+        t = (
+            lc[:, None]
+            + i[:, None] * np.log(qc)[None, :]
+            + (n - i)[:, None] * np.log1p(-qc)[None, :]
+        )
+        m = t.max(axis=0)
+        e = np.exp(t - m)
+        acc = e[0].copy()
+        for row in e[1:]:
+            acc += row
+        out[lo:lo + step] = m + np.log(acc)
+    return out
+
+
+def bisection_rate_estimate(scores, gamma: float, T: float):
+    """``(A, B)`` of the rate estimate by float bisection on psi.
+
+    ``exp(-T)`` and ``1 - exp(-T)`` are pulled back through the upper
+    tail to frequencies ``psi_lo, psi_hi`` (absolute tolerance 1e-12,
+    log-space comparison below 1e-8), and ``A, B`` are the fractions of
+    in-sample frequencies at or below them.  ``None`` when
+    ``floor(n * gamma) == 0``.
+    """
+    n = len(scores)
+    a = snapped_floor(n * gamma)
+    if a == 0:
+        return None
+    k = n - a + 1
+
+    def q(psi: float) -> float:
+        return (1.0 + n * psi) / (2.0 + n)
+
+    def upper(psi: float) -> float:
+        p = float(betainc(k, n - k + 1.0, q(psi)))
+        if not (math.isfinite(p) and p >= 1e-250):
+            p = math.exp(full_range_log_binom_tail(k, n, np.asarray([q(psi)]))[0])
+        return p
+
+    def inverse(target: float) -> float:
+        if target < 1e-8:
+            def reaches(psi):
+                log_p = full_range_log_binom_tail(k, n, np.asarray([q(psi)]))[0]
+                return log_p >= math.log(target)
+        else:
+            def reaches(psi):
+                return upper(psi) >= target
+        if reaches(0.0):
+            return 0.0
+        if not reaches(1.0):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if reaches(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    edge = math.exp(-T)
+    psis = sorted(sum(1 for v in scores if v <= s) / n for s in scores)
+    below = bisect.bisect_right(psis, inverse(edge)) / n
+    up_to = bisect.bisect_right(psis, inverse(1.0 - edge)) / n
+    return below, up_to
 
 
 def brute_training_frequency(train_scores, s: float) -> float:

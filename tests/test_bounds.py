@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreject.bounds import (
     RateEstimate,
@@ -25,7 +27,7 @@ from adreject.core import (
 )
 from adreject.rejector import fit, predict_batch
 
-from oracles import decimal_band_edges
+from oracles import bisection_rate_estimate, decimal_band_edges
 
 
 class TestBandEdges:
@@ -133,6 +135,29 @@ class TestRateEstimate:
         rej = fit(train, tol)
         frac = predict_batch(rej, train.scores).rejected.mean()
         assert est.r_hat == pytest.approx(frac, abs=2.0 / n)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 300),
+        levels=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.floats(0.0, 0.5, exclude_max=True),
+        T=st.floats(4.0, 32.0),
+    )
+    def test_matches_bisection_and_in_sample_rate(self, n, levels, seed, gamma, T):
+        # Few levels give heavy ties; more levels than scores mostly none.
+        scores = np.random.default_rng(seed).integers(0, levels, n).astype(float)
+        train = ScoreSet(scores, gamma)
+        tol = ToleranceSpec(T)
+        rej = fit(train, tol)
+        old = bisection_rate_estimate(scores.tolist(), gamma, T)
+        if old is None:
+            assert rej.degenerate
+        else:
+            est = rejection_rate_estimate(train, tol)
+            assert (est.below_band, est.up_to_band) == old
+        frac = predict_batch(rej, train.scores).rejected.mean()
+        assert rej.estimate.r_hat == pytest.approx(frac, abs=1e-12)
 
     def test_degenerate_raises(self):
         train = ScoreSet(np.arange(9.0), 0.1)  # floor(9 * 0.1) == 0

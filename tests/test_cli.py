@@ -89,6 +89,22 @@ class TestFit:
         err = json.loads(proc.stderr)
         assert "T must be >= 4" in err["error"]["message"]
 
+    def test_t_tolerance_beyond_trust_floor_exit_2(self, tmp_path, train_csv):
+        proc = run_cli(
+            "fit",
+            "--train",
+            str(train_csv),
+            "--gamma",
+            "0.1",
+            "--t-tolerance",
+            "600",
+            "--model-out",
+            str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert "T must be at most" in err["error"]["message"]
+
     def test_bad_gamma_exit_2(self, tmp_path, train_csv):
         proc = run_cli(
             "fit",
@@ -160,6 +176,22 @@ class TestPredict:
         assert len(rows) == 1000
         frac = sum(r["decision"] == "reject" for r in rows) / len(rows)
         assert frac == pytest.approx(summary["r_hat"], abs=2.0 / 1000)
+
+    @pytest.mark.parametrize("T", ["38", "64", "256"])
+    def test_large_tolerance_round_trip(self, tmp_path, train_csv, T):
+        # 1 - exp(-T) rounds to 1.0 from T ~ 37.5 on; fit and predict
+        # must still work and agree on the in-sample rejection rate.
+        model, summary = self._fit(tmp_path, train_csv, T=T)
+        out = tmp_path / "pred.csv"
+        proc = run_cli(
+            "predict", "--model", str(model), "--test", str(train_csv), "--out", str(out)
+        )
+        assert proc.returncode == 0, proc.stderr
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        frac = sum(r["decision"] == "reject" for r in rows) / len(rows)
+        assert 0.0 < frac < 1.0
+        assert frac == pytest.approx(summary["r_hat"], abs=1e-12)
 
     def test_output_columns_and_values(self, tmp_path, train_csv):
         model, _ = self._fit(tmp_path, train_csv)

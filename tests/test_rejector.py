@@ -7,6 +7,7 @@ import pytest
 from adreject.core import (
     CostSpec,
     Decision,
+    DomainError,
     LabelLengthMismatch,
     NonBinaryLabels,
     ScoreSet,
@@ -25,6 +26,12 @@ from adreject.rejector import (
     predict_batch,
     save_model,
     to_dict,
+)
+from adreject.stability import (
+    confidence,
+    reject_from_tails,
+    stability_tails,
+    training_frequency,
 )
 
 from oracles import brute_cost
@@ -101,6 +108,73 @@ class TestPredict:
         assert not batch.rejected.any()
         decision, _ = predict(rej, 99.0)
         assert decision is Decision.NORMAL
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 400, 2000, 20000])
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("T", [4.0, 8.0, 32.0])
+    def test_matches_per_query_tails_bitwise(self, n, gamma, T):
+        rng = np.random.default_rng(n)
+        scores = rng.normal(size=n)
+        scores[: n // 3] = np.round(scores[: n // 3], 1)  # a block of ties
+        rej = _fit(scores, gamma, T)
+        lo, hi = scores.min(), scores.max()
+        queries = np.concatenate([
+            rng.choice(scores, min(n, 300)),
+            rng.uniform(lo - 1.0, hi + 1.0, 300),
+            [lo - 5.0, lo, hi, hi + 5.0],
+        ])
+        psi = training_frequency(rej.train, queries)
+        upper, lower = stability_tails(psi, n, gamma)
+        want = {
+            "psi_n": psi,
+            "p_anomaly": upper,
+            "confidence": confidence(upper),
+            "base_anomaly": queries >= rej.threshold,
+            "rejected": reject_from_tails(upper, lower, rej.tol),
+        }
+        got = predict_batch(rej, queries)
+        for name, value in want.items():
+            field = getattr(got, name)
+            assert field.dtype == value.dtype, name
+            assert field.tobytes() == value.tobytes(), name
+
+    def test_table_is_read_only_and_sized_by_count(self):
+        rej = _fit(np.arange(50.0), 0.1)
+        assert rej.p_table.shape == (51,)
+        assert not rej.p_table.flags.writeable
+        assert 0 <= rej.k_lo <= rej.k_hi <= 51
+
+    def test_degenerate_cutoffs_reject_nothing(self):
+        rej = _fit(np.arange(9.0), 0.1)  # floor(9 * 0.1) == 0
+        assert rej.degenerate
+        assert rej.k_lo == rej.k_hi == 10
+
+
+class TestLargeTolerance:
+    @pytest.mark.parametrize("T", [38.0, 64.0, 256.0])
+    def test_fit_and_predict(self, T):
+        rng = np.random.default_rng(int(T))
+        train = ScoreSet(rng.normal(size=2000), 0.1)
+        rej = fit(train, ToleranceSpec(T))
+        batch = predict_batch(rej, train.scores)
+        assert batch.rejected.any() and not batch.rejected.all()
+        assert rej.estimate.r_hat == pytest.approx(batch.rejected.mean(), abs=1e-12)
+        _, res = predict(rej, float(train.scores[0]))
+        assert res.psi_n == batch.psi_n[0]
+
+    def test_rejections_grow_with_T(self):
+        train = ScoreSet(np.random.default_rng(3).normal(size=2000), 0.1)
+        counts = [
+            int(predict_batch(fit(train, ToleranceSpec(T)), train.scores).rejected.sum())
+            for T in (32.0, 38.0, 64.0, 256.0)
+        ]
+        assert counts == sorted(counts)
+
+    def test_beyond_trust_floor_refused(self):
+        with pytest.raises(DomainError, match="T must be at most"):
+            _fit(np.arange(100.0), 0.1, T=600.0)
 
 
 class TestEmpiricalCost:

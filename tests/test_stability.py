@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from adreject.core import (
     DegenerateStabilityMap,
@@ -10,19 +11,34 @@ from adreject.core import (
     NonFiniteInput,
     ScoreSet,
     ToleranceSpec,
+    anomaly_count,
 )
 from adreject.stability import (
+    _first_count,
+    _log_binom_tail_many,
     confidence,
     in_rejection_band,
     in_sample_frequencies,
     reject_from_tails,
+    rejection_cutoffs,
     stability_inverse,
     stability_probability,
     stability_tails,
     training_frequency,
 )
 
-from oracles import brute_stability, brute_training_frequency
+from oracles import (
+    brute_stability,
+    brute_training_frequency,
+    full_range_log_binom_tail,
+)
+
+
+def _count_grid_tails(n, gamma):
+    """(k, q) of the upper and lower tails on the grid psi_n = j / n."""
+    a = anomaly_count(n, gamma)
+    q = (1.0 + n * (np.arange(n + 1) / n)) / (2.0 + n)
+    return [(n - a + 1, q), (a, 1.0 - q)]
 
 
 class TestTrainingFrequency:
@@ -206,3 +222,72 @@ class TestStabilityInverse:
     def test_target_domain(self, target):
         with pytest.raises(DomainError):
             stability_inverse(target, 100, 0.1)
+
+
+class TestLogTailKernel:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 400, 2000])
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 0.3, 0.49])
+    def test_bounded_sum_matches_full_range_on_count_grid(self, n, gamma):
+        for k, q in _count_grid_tails(n, gamma):
+            got = _log_binom_tail_many(k, n, q)
+            want = full_range_log_binom_tail(k, n, q)
+            assert got.tobytes() == want.tobytes(), (k, n)
+
+    @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.3])
+    def test_bounded_sum_matches_full_range_where_it_runs(self, gamma):
+        # At n = 20000 most grid points take the log-space path; compare
+        # on exactly those.
+        n = 20000
+        for k, q in _count_grid_tails(n, gamma):
+            fallback = q[~(betainc(k, n - k + 1.0, q) >= 1e-250)]
+            assert fallback.size > 0
+            got = _log_binom_tail_many(k, n, fallback)
+            want = full_range_log_binom_tail(k, n, fallback)
+            assert got.tobytes() == want.tobytes(), (k, n)
+
+    def test_single_point_matches_batch(self):
+        n = 2000
+        for k, q in _count_grid_tails(n, 0.1):
+            batch = _log_binom_tail_many(k, n, q)
+            for idx in range(0, n + 1, 97):
+                one = _log_binom_tail_many(k, n, q[idx:idx + 1])
+                assert one.tobytes() == batch[idx:idx + 1].tobytes(), (k, idx)
+
+
+class TestRejectionCutoffs:
+    @pytest.mark.parametrize(
+        "n,gamma,T",
+        [(3, 0.49, 4.0), (7, 0.3, 8.0), (50, 0.1, 32.0), (400, 0.02, 4.0),
+         (2000, 0.3, 64.0), (20000, 0.1, 32.0), (20000, 0.49, 256.0)],
+    )
+    def test_first_counts_of_the_tail_table(self, n, gamma, T):
+        tol = ToleranceSpec(T)
+        up, lo = stability_tails(np.arange(n + 1) / n, n, gamma)
+        reach = np.flatnonzero(up >= tol.band_edge)
+        below = np.flatnonzero(lo < tol.band_edge)
+        want = (
+            int(reach[0]) if reach.size else n + 1,
+            int(below[0]) if below.size else n + 1,
+        )
+        assert rejection_cutoffs(n, gamma, tol) == want
+
+    @pytest.mark.parametrize("first", [0, 1, 17, 49, 50, 51])
+    @pytest.mark.parametrize("guess", [-5.0, 0.0, 16.0, 30.0, 50.0, 80.0, math.nan])
+    def test_search_is_exact_from_any_guess(self, first, guess):
+        calls = []
+
+        def reaches(j):
+            calls.append(j)
+            return j >= first
+
+        assert _first_count(50, reaches, guess) == first
+        assert all(0 <= j <= 50 for j in calls)
+
+    def test_degenerate_map(self):
+        with pytest.raises(DegenerateStabilityMap):
+            rejection_cutoffs(9, 0.1, ToleranceSpec(8.0))
+
+    def test_tolerance_below_trust_floor_refused(self):
+        rejection_cutoffs(100, 0.1, ToleranceSpec(575.0))
+        with pytest.raises(DomainError, match="T must be at most 575.6"):
+            rejection_cutoffs(100, 0.1, ToleranceSpec(576.0))
