@@ -20,7 +20,6 @@ from adreject import (
     fit,
     fit_detector,
     load_model,
-    predict,
     predict_batch,
     save_model,
 )
@@ -59,14 +58,13 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.json"
     save_model(rej, path)
     reloaded, _meta = load_model(path)
-    dec_before, _ = predict(rej, 2.0)
-    dec_after, _ = predict(reloaded, 2.0)
-    assert dec_before == dec_after
+    probe = np.linspace(0.0, 5.0, 101)
+    assert predict_batch(rej, probe).decisions == predict_batch(reloaded, probe).decisions
     print(f"\nmodel round-tripped through {path.name}; predictions identical")
 
 # --- 5. gamma = 0 sentinel ----------------------------------------------
 # With no assumed contamination nothing is ever flagged or rejected.
 clean = fit(ScoreSet(train_scores, 0.0), ToleranceSpec(T=32.0))
-dec, res = predict(clean, 1e9)
-assert dec is Decision.NORMAL and clean.degenerate
+far = predict_batch(clean, 1e9)
+assert far.decisions == [Decision.NORMAL] and far.confidence[0] == 1.0 and clean.degenerate
 print("gamma = 0: degenerate rejector predicts normal with confidence 1")

@@ -5,7 +5,8 @@ Benchmarking rejection against its alternatives
 The bench module compares three ways of using the same fitted detector:
 
 - ``noreject``  -- always answer with the base label,
-- ``rejex``     -- reject when confidence <= tau (no labels needed),
+- ``rejex``     -- reject by the fitted count rule k_lo <= j < k_hi
+                   (no labels needed),
 - ``oracle``    -- cost-optimal confidence threshold chosen with labels.
 
 This demo runs a small slice of the synthetic suite and prints the

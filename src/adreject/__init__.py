@@ -1,9 +1,15 @@
-"""Learning-to-reject toolkit for unsupervised anomaly detection.
+"""Learning-to-reject for unsupervised anomaly detection.
 
 Wraps any real-valued anomaly scorer with a stability-based confidence,
-rejects predictions whose confidence is at most a constant threshold,
-and reports certified estimates and bounds on the rejection rate and
-the expected prediction cost.
+rejects a prediction when both tails of its stability distribution are
+at least ``exp(-T)`` (for a fitted rejector, when the score's training
+count ``j`` satisfies ``k_lo <= j < k_hi``), and reports certified
+estimates and bounds on the rejection rate and the expected prediction
+cost.
+
+The names below are the public surface.  Helpers such as
+``adreject.stability.rejection_cutoffs``, ``adreject.bounds.band_edges``
+or ``adreject.bench.run_trial`` stay importable from their modules.
 """
 
 from .core import (
@@ -13,7 +19,6 @@ from .core import (
     DegenerateStabilityMap,
     DimensionMismatch,
     DomainError,
-    EmptyInterval,
     EmptyResults,
     InadmissibleRejectionCost,
     InsufficientData,
@@ -24,43 +29,20 @@ from .core import (
     ParseError,
     ScoreSet,
     ToleranceSpec,
-    anomaly_count,
-    anomaly_rank,
-    validate_cost_spec,
 )
-from .stability import (
-    confidence,
-    in_rejection_band,
-    in_sample_frequencies,
-    stability_inverse,
-    stability_probability,
-    stability_tails,
-    training_frequency,
-)
+from .stability import stability_tails
 from .bounds import (
-    CostBound,
     RateEstimate,
     RejectionBandSpec,
-    band_edges,
-    band_implication_holds,
-    cost_bound,
     expected_cost_upper_bound,
     rejection_band,
     rejection_rate_estimate,
-    rejection_rate_upper_bound,
-    score_rejection_interval,
 )
 from .rejector import (
     BatchPredictions,
     FittedRejector,
-    StabilityResult,
-    decision_threshold,
-    empirical_cost,
     fit,
     load_model,
-    oracle_sweep,
-    oracle_threshold,
-    predict,
     predict_batch,
     save_model,
 )
@@ -71,12 +53,8 @@ from .bench import (
     TrialResult,
     aggregate,
     cost_preset,
-    cost_presets,
     load_csv,
-    make_folds,
-    rank_auc,
     run_benchmark,
-    run_trial,
     synthetic_suite,
     write_report_files,
 )
@@ -87,7 +65,6 @@ __all__ = [
     "AdrejectError",
     "BatchPredictions",
     "COST_PRESETS",
-    "CostBound",
     "CostSpec",
     "DETECTOR_KINDS",
     "Dataset",
@@ -96,7 +73,6 @@ __all__ = [
     "DetectorSpec",
     "DimensionMismatch",
     "DomainError",
-    "EmptyInterval",
     "EmptyResults",
     "FittedRejector",
     "InadmissibleRejectionCost",
@@ -109,45 +85,21 @@ __all__ = [
     "RateEstimate",
     "RejectionBandSpec",
     "ScoreSet",
-    "StabilityResult",
     "ToleranceSpec",
     "TrialResult",
     "aggregate",
-    "anomaly_count",
-    "anomaly_rank",
-    "band_edges",
-    "band_implication_holds",
-    "confidence",
-    "cost_bound",
     "cost_preset",
-    "cost_presets",
-    "decision_threshold",
-    "empirical_cost",
     "expected_cost_upper_bound",
     "fit",
     "fit_detector",
-    "in_rejection_band",
-    "in_sample_frequencies",
     "load_csv",
     "load_model",
-    "make_folds",
-    "oracle_sweep",
-    "oracle_threshold",
-    "predict",
     "predict_batch",
-    "rank_auc",
     "rejection_band",
     "rejection_rate_estimate",
-    "rejection_rate_upper_bound",
     "run_benchmark",
-    "run_trial",
     "save_model",
-    "score_rejection_interval",
-    "stability_inverse",
-    "stability_probability",
     "stability_tails",
     "synthetic_suite",
-    "training_frequency",
-    "validate_cost_spec",
     "write_report_files",
 ]

@@ -5,7 +5,8 @@ fits the rejector on the training scores, and charges the test fold
 ``c_fp`` per accepted false positive, ``c_fn`` per accepted false
 negative, and ``c_r`` per rejection.  Three methods are compared:
 
-* ``rejex``: reject at the constant confidence threshold;
+* ``rejex``: reject by the fitted rejector's label-free count rule
+  ``k_lo <= j < k_hi``;
 * ``noreject``: always keep the base prediction;
 * ``oracle``: exhaustive label-informed threshold search on the
   training fold (a ceiling, not a competitor).
@@ -52,7 +53,6 @@ __all__ = [
     "Dataset",
     "TrialResult",
     "cost_preset",
-    "cost_presets",
     "read_csv_table",
     "load_csv",
     "synthetic_suite",
@@ -92,11 +92,6 @@ def cost_preset(name: str, gamma: float) -> CostSpec:
         raise DomainError(f"unknown cost preset {name!r}, expected one of {COST_PRESETS}")
     validate_cost_spec(spec, gamma)
     return spec
-
-
-def cost_presets() -> dict[str, object]:
-    """Mapping of preset name to a ``gamma -> CostSpec`` constructor."""
-    return {name: (lambda g, _n=name: cost_preset(_n, g)) for name in COST_PRESETS}
 
 
 @dataclass(frozen=True, eq=False)

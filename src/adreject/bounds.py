@@ -2,11 +2,10 @@
 
 Three guarantees are computed from training data alone:
 
-* a closed-form frequency band ``[t1, t2]``: any score whose training
-  frequency lands inside it has confidence at most ``1 - 2 exp(-T)``
-  and is therefore rejected;
-* a plug-in estimate ``r_hat`` of the rejection rate, obtained by
-  pushing the band edges through the empirical frequency distribution;
+* a closed-form frequency band ``[t1, t2]`` that covers the rejection
+  region: every rejected score has its training frequency inside it;
+* a plug-in estimate ``r_hat`` of the rejection rate: the fraction of
+  training scores whose count lies between the two rejection cutoffs;
 * a distribution-free upper bound ``h`` on the true rejection rate and
   an upper bound on the expected per-example prediction cost.
 """
@@ -14,24 +13,20 @@ Three guarantees are computed from training data alone:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CostSpec,
-    DegenerateStabilityMap,
     DomainError,
-    EmptyInterval,
     ScoreSet,
     ToleranceSpec,
+    validate_domain,
 )
 from .stability import (
-    reject_from_tails,
     rejection_cutoffs,
     stability_inverse,  # noqa: F401 -- perfbench/spans.py times calls through this name
-    stability_tails,
 )
 
 __all__ = [
@@ -39,24 +34,10 @@ __all__ = [
     "raw_band_edges",
     "RejectionBandSpec",
     "rejection_band",
-    "band_implication_holds",
     "RateEstimate",
     "rejection_rate_estimate",
-    "rejection_rate_upper_bound",
-    "CostBound",
     "expected_cost_upper_bound",
-    "cost_bound",
-    "score_rejection_interval",
 ]
-
-
-def _validate_band_args(n: int, gamma: float, T: float) -> None:
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (0.0 <= gamma < 0.5):
-        raise DomainError(f"gamma must lie in [0, 0.5), got {gamma}")
-    if not math.isfinite(T) or T < 4.0:
-        raise DomainError(f"T must be >= 4 and finite, got {T}")
 
 
 def band_edges(n: int, gamma: float, T: float) -> tuple[float, float]:
@@ -87,18 +68,10 @@ def raw_band_edges(n: int, gamma: float, T: float) -> tuple[float, float]:
     guarantees at an edge are vacuous when the raw value lies outside
     the unit interval.
     """
-    _validate_band_args(n, gamma, T)
+    validate_domain(n=n, gamma=gamma, T=T)
     inv = 1.0 / n
     one_m_g = 1.0 - gamma
-    disc = (T * inv / 2.0) * (1.0 + 2.0 * inv) ** 2
-    if disc < 0.0:
-        # Cannot occur for finite T >= 4; clamp defensively rather than crash.
-        warnings.warn(
-            f"negative discriminant {disc} clamped to 0 (n={n}, gamma={gamma}, T={T})",
-            RuntimeWarning,
-        )
-        disc = 0.0
-    root = math.sqrt(disc)
+    root = math.sqrt((T * inv / 2.0) * (1.0 + 2.0 * inv) ** 2)
     center = one_m_g * (1.0 + 2.0 * inv)
     t1 = center + 2.0 * inv * inv - root
     t2 = center - inv + root
@@ -127,7 +100,7 @@ class RejectionBandSpec:
     h: float
 
     def __post_init__(self) -> None:
-        _validate_band_args(self.n, self.gamma, self.T)
+        validate_domain(n=self.n, gamma=self.gamma, T=self.T)
         if not (0.0 < self.delta < 1.0):
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
         if not (self.t1 <= 1.0 - self.gamma <= self.t2):
@@ -145,32 +118,6 @@ def rejection_band(
     t1, t2 = band_edges(n, gamma, T)
     h = min(max(t2 - t1 + _dkw_term(n, delta), 0.0), 1.0)
     return RejectionBandSpec(n=n, gamma=gamma, T=T, delta=delta, t1=t1, t2=t2, h=h)
-
-
-def rejection_rate_upper_bound(
-    n: int, gamma: float, T: float, delta: float = 0.05
-) -> float:
-    """The bound ``h`` alone; see :class:`RejectionBandSpec`."""
-    return rejection_band(n, gamma, T, delta).h
-
-
-def band_implication_holds(n: int, gamma: float, T: float, psi) -> bool:
-    """Check, for each ``psi``, that a rejected frequency lies in
-    ``[t1, t2]``.
-
-    The band is an outer cover of the rejection region: frequencies at
-    or below ``t1`` have stability probability at most ``exp(-T)``
-    (confidently normal) and frequencies at or above ``t2`` at least
-    ``1 - exp(-T)`` (confidently anomalous), so anything rejected must
-    sit inside the band.  This is the direction the rejection-rate
-    bound relies on.
-    """
-    t1, t2 = band_edges(n, gamma, T)
-    arr = np.asarray(psi, dtype=float)
-    up, lo = stability_tails(arr, n, gamma)
-    rejected = np.asarray(reject_from_tails(up, lo, ToleranceSpec(T)))
-    inside = (arr >= t1) & (arr <= t2)
-    return bool(np.all(inside[rejected])) if np.any(rejected) else True
 
 
 @dataclass(frozen=True)
@@ -201,7 +148,8 @@ def rejection_rate_estimate(train: ScoreSet, tol: ToleranceSpec) -> RateEstimate
 
     The band is pulled back to the integer counts ``k_lo <= j < k_hi``
     of :func:`rejection_cutoffs`, found by an integer search over ``j``
-    in ``[0, n]`` that evaluates a few dozen tails at most.  ``A`` is the fraction of training scores whose own count
+    in ``[0, n]`` that evaluates a few dozen tails at most.  ``A`` is the
+    fraction of training scores whose own count
     ``j_i = |{s <= s_i}|`` lies below ``k_lo`` (confident normals),
     ``B`` the fraction below ``k_hi``, and ``r_hat = B - A``, which is
     exactly the fraction of training scores :func:`adreject.rejector.fit`
@@ -236,17 +184,6 @@ def _count_below(train: ScoreSet, k: int) -> float:
     return float(np.searchsorted(ss, ss[k - 1], side="left") / train.n)
 
 
-@dataclass(frozen=True)
-class CostBound:
-    """Expected-cost bound assembled from a rate estimate."""
-
-    below_band: float
-    up_to_band: float
-    gamma: float
-    costs: CostSpec
-    bound: float
-
-
 def expected_cost_upper_bound(
     below_band: float, up_to_band: float, gamma: float, costs: CostSpec
 ) -> float:
@@ -264,47 +201,9 @@ def expected_cost_upper_bound(
         raise DomainError(
             f"need 0 <= A <= B <= 1, got A={below_band}, B={up_to_band}"
         )
-    if not (0.0 <= gamma < 0.5):
-        raise DomainError(f"gamma must lie in [0, 0.5), got {gamma}")
+    validate_domain(gamma=gamma)
     return (
         min(gamma, below_band) * costs.c_fn
         + (1.0 - up_to_band) * costs.c_fp
         + (up_to_band - below_band) * costs.c_r
     )
-
-
-def cost_bound(est: RateEstimate, gamma: float, costs: CostSpec) -> CostBound:
-    """Wrap :func:`expected_cost_upper_bound` with its inputs for reports."""
-    value = expected_cost_upper_bound(est.below_band, est.up_to_band, gamma, costs)
-    return CostBound(
-        below_band=est.below_band,
-        up_to_band=est.up_to_band,
-        gamma=gamma,
-        costs=costs,
-        bound=value,
-    )
-
-
-def score_rejection_interval(
-    train: ScoreSet, tol: ToleranceSpec
-) -> tuple[float, float]:
-    """Training-score interval covering every rejected training score.
-
-    ``low`` is the smallest training score whose frequency reaches
-    ``t1``; ``high`` the largest whose frequency does not exceed ``t2``.
-
-    Raises
-    ------
-    EmptyInterval
-        If no training frequency falls inside ``[t1, t2]``.
-    """
-    t1, t2 = band_edges(train.n, train.gamma, tol.T)
-    ss = train.sorted_scores
-    psis = np.searchsorted(ss, ss, side="right") / train.n
-    inside = (psis >= t1) & (psis <= t2)
-    if not np.any(inside):
-        raise EmptyInterval(
-            f"no training frequency lies in [{t1}, {t2}] (n={train.n})"
-        )
-    idx = np.flatnonzero(inside)
-    return float(ss[idx[0]]), float(ss[idx[-1]])

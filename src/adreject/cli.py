@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--t-tolerance", type=float, default=32.0, metavar="T",
-        help="tolerance exponent T >= 4; rejection threshold is 1 - 2 exp(-T)",
+        help="tolerance exponent, 4 <= T <= 575.6; a prediction is rejected "
+        "when both stability tails are at least exp(-T)",
     )
     p_fit.add_argument("--delta", type=float, default=0.05,
                        help="failure probability for the rejection-rate bound")

@@ -23,7 +23,6 @@ __all__ = [
     "LabelLengthMismatch",
     "InadmissibleRejectionCost",
     "DegenerateStabilityMap",
-    "EmptyInterval",
     "ParseError",
     "MissingGamma",
     "NonBinaryLabels",
@@ -33,6 +32,7 @@ __all__ = [
     "ToleranceSpec",
     "CostSpec",
     "validate_cost_spec",
+    "validate_domain",
     "anomaly_count",
     "anomaly_rank",
 ]
@@ -69,10 +69,6 @@ class InadmissibleRejectionCost(AdrejectError):
 class DegenerateStabilityMap(AdrejectError):
     """floor(n * gamma) == 0, so the stability map is identically zero
     and has no inverse for positive targets."""
-
-
-class EmptyInterval(AdrejectError):
-    """No training score falls inside the requested frequency band."""
 
 
 class ParseError(AdrejectError):
@@ -124,6 +120,26 @@ def anomaly_rank(n: int, gamma: float) -> int:
     return int(math.ceil(_snap(n * gamma)))
 
 
+def validate_domain(
+    n: int | None = None, gamma: float | None = None, T: float | None = None
+) -> None:
+    """Refuse ``n < 1``, ``gamma`` outside ``[0, 0.5)``, and ``T`` below 4
+    or non-finite, with a ``DomainError``; an argument left ``None`` is
+    not checked."""
+    if n is not None and n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if gamma is not None and not (0.0 <= gamma < 0.5):
+        raise DomainError(f"gamma must lie in [0, 0.5), got {gamma}")
+    if T is not None and (not math.isfinite(T) or T < 4.0):
+        raise DomainError(f"T must be >= 4 and finite, got {T}")
+
+
+# Below this magnitude the incomplete-beta routine can return values
+# with only a couple of correct digits (observed ~5e-2 relative error
+# near 1e-300), so a rejection band edge exp(-T) must stay above it.
+_BETAINC_TRUST_FLOOR = 1e-250
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -163,8 +179,7 @@ class ScoreSet:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInput("training scores must be finite")
         g = float(self.gamma)
-        if not (0.0 <= g < 0.5) or not math.isfinite(g):
-            raise DomainError(f"gamma must lie in [0, 0.5), got {g}")
+        validate_domain(gamma=g)
         arr = arr.copy()
         arr.setflags(write=False)
         srt = np.sort(arr)
@@ -180,13 +195,26 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    """Rejection tolerance derived from a single parameter ``T >= 4``.
+    """Rejection tolerance derived from a single parameter ``4 <= T <= 575.6``.
 
     ``epsilon = 2 * exp(-T)`` is stored; the confidence threshold
     ``tau = 1 - epsilon`` is always derived from it, so the identity
-    ``tau + epsilon == 1`` holds by construction.  Predictions whose
-    anomaly probability lies in ``[epsilon / 2, 1 - epsilon / 2]``
-    (equivalently, confidence at most ``tau``) are rejected.
+    ``tau + epsilon == 1`` holds by construction.  A prediction is
+    rejected when both tails of its stability distribution, the anomaly
+    probability and its complement, are at least ``exp(-T)``.  That
+    depends only on the score's training count ``j``, so a fitted
+    rejector decides it as ``k_lo <= j < k_hi``
+    (:func:`adreject.stability.rejection_cutoffs`).  The confidence form
+    ``confidence <= tau`` is the same rule only while ``tau < 1``: from
+    ``T`` of about 38.1 on, ``tau`` rounds to 1.0 and would reject
+    every prediction.
+
+    Raises
+    ------
+    DomainError
+        If ``T`` is below 4, not finite, or so large that ``exp(-T)``
+        falls below the ``1e-250`` floor under which the tails are not
+        trusted.
     """
 
     T: float
@@ -194,10 +222,16 @@ class ToleranceSpec:
 
     def __post_init__(self) -> None:
         t = float(self.T)
-        if not math.isfinite(t) or t < 4.0:
-            raise DomainError(f"T must be >= 4 and finite, got {t}")
+        validate_domain(T=t)
+        edge = math.exp(-t)
+        if edge < _BETAINC_TRUST_FLOOR:
+            raise DomainError(
+                f"exp(-T) = {edge:.3g} is below the {_BETAINC_TRUST_FLOOR:g} floor "
+                f"of the tail computation; T must be at most "
+                f"{-math.log(_BETAINC_TRUST_FLOOR):.1f}, got {t}"
+            )
         object.__setattr__(self, "T", t)
-        object.__setattr__(self, "epsilon", 2.0 * math.exp(-t))
+        object.__setattr__(self, "epsilon", 2.0 * edge)
 
     @property
     def tau(self) -> float:
@@ -243,8 +277,7 @@ def validate_cost_spec(costs: CostSpec, gamma: float) -> None:
     InadmissibleRejectionCost
         If ``c_r`` exceeds the bound (boundary equality is admissible).
     """
-    if not (0.0 <= gamma < 0.5):
-        raise DomainError(f"gamma must lie in [0, 0.5), got {gamma}")
+    validate_domain(gamma=gamma)
     cap = min((1.0 - gamma) * costs.c_fp, gamma * costs.c_fn)
     if costs.c_r > cap:
         raise InadmissibleRejectionCost(

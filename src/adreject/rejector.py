@@ -2,9 +2,13 @@
 
 The decision threshold ``lambda`` is the ``ceil(n * gamma)``-th largest
 training score; scores at or above it are predicted anomalous.  A
-prediction is replaced by ``Reject`` when its stability probability
-falls inside ``[exp(-T), 1 - exp(-T)]``.  The rejection threshold on
-confidence is the constant ``1 - 2 exp(-T)``: no labels, no search.
+prediction is replaced by ``Reject`` when both tails of its stability
+distribution are at least ``exp(-T)``.  Both depend only on the score's
+training count ``j``, so :func:`fit` settles the rule once as two
+integer cutoffs, and a score is rejected iff ``k_lo <= j < k_hi``: no
+labels, no search.  (Stated on confidence, that is ``confidence <= 1 -
+2 exp(-T)``, but only while that threshold stays below 1.0, i.e. for
+``T`` below about 38.1.)
 """
 
 from __future__ import annotations
@@ -40,29 +44,16 @@ from .stability import (
 )
 
 __all__ = [
-    "StabilityResult",
     "BatchPredictions",
     "FittedRejector",
     "fit",
-    "predict",
     "predict_batch",
-    "oracle_threshold",
     "decision_threshold",
     "save_model",
     "load_model",
 ]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class StabilityResult:
-    """Per-score stability diagnostics backing one decision."""
-
-    psi_n: float
-    p_anomaly: float
-    confidence: float
-    base_label: Decision
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +80,6 @@ class BatchPredictions:
             else:
                 out.append(Decision.NORMAL)
         return out
-
-    def row(self, i: int) -> tuple[Decision, StabilityResult]:
-        res = StabilityResult(
-            psi_n=float(self.psi_n[i]),
-            p_anomaly=float(self.p_anomaly[i]),
-            confidence=float(self.confidence[i]),
-            base_label=Decision.ANOMALY if self.base_anomaly[i] else Decision.NORMAL,
-        )
-        return self.decisions[i], res
 
 
 def decision_threshold(train: ScoreSet) -> float:
@@ -186,22 +168,15 @@ def fit(train: ScoreSet, tol: ToleranceSpec, delta: float = 0.05) -> FittedRejec
     )
 
 
-def predict(rejector: FittedRejector, s: float) -> tuple[Decision, StabilityResult]:
-    """Predict one score; see :func:`predict_batch` for the semantics."""
-    batch = predict_batch(rejector, np.asarray([s], dtype=float))
-    return batch.row(0)
-
-
 def predict_batch(rejector: FittedRejector, scores) -> BatchPredictions:
     """Vectorized three-way prediction, O(m log n) for m scores.
 
     Base label: anomaly iff ``s >= threshold``.  The base label is
-    replaced by ``Reject`` iff the stability probability lies in the
-    closed band ``[exp(-T), 1 - exp(-T)]``, tested on both binomial
-    tails so that neither side loses accuracy to cancellation.  Both
-    tests were settled at fit time for every training count ``j``, so a
-    score costs a search in the sorted training scores and a lookup in
-    the fitted table.
+    replaced by ``Reject`` iff the score's training count ``j`` satisfies
+    ``k_lo <= j < k_hi``: both tails of its stability distribution are at
+    least ``exp(-T)``, as settled at fit time for every count.  A score
+    costs a search in the sorted training scores and a lookup in the
+    fitted table.
     """
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1:
@@ -276,11 +251,6 @@ def oracle_sweep(
     return best_theta, best_cost
 
 
-def oracle_threshold(rejector: FittedRejector, labels, costs: CostSpec) -> float:
-    """The threshold picked by :func:`oracle_sweep`."""
-    return oracle_sweep(rejector, labels, costs)[0]
-
-
 def _band_to_dict(band: RejectionBandSpec) -> dict:
     return {
         "n": band.n,
@@ -320,19 +290,34 @@ def to_dict(rejector: FittedRejector, score_column: str | None = None,
 def from_dict(state: dict) -> FittedRejector:
     """Rebuild a rejector from :func:`to_dict` output.
 
-    The threshold, band, and estimate are recomputed from the stored
-    scores and parameters; stored values are cross-checked so a
-    corrupted file fails loudly instead of predicting quietly.
+    The rejector is refitted from the stored scores and parameters, and
+    the whole state it would save must equal the stored one, so a
+    corrupted file fails loudly instead of predicting quietly.  Only
+    ``score_column`` and ``detector`` are taken on trust: they are
+    copied, not recomputed.
+
+    Raises
+    ------
+    ValueError
+        On an unknown schema version, a missing or mistyped field, or
+        naming the first field that disagrees with its recomputed value.
     """
     if state.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {state.get('schema_version')}")
-    train = ScoreSet(np.asarray(state["scores_sorted"], dtype=float), state["gamma"])
-    rej = fit(train, ToleranceSpec(state["t_tolerance"]), delta=state["delta"])
-    stored = state["lambda"]
-    stored_thr = math.inf if stored is None else float(stored)
-    if stored_thr != rej.threshold:
+    try:
+        train = ScoreSet(np.asarray(state["scores_sorted"], dtype=float), state["gamma"])
+        rej = fit(train, ToleranceSpec(state["t_tolerance"]), delta=state["delta"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model field missing or of the wrong type: {exc}") from None
+    fresh = to_dict(rej, state.get("score_column"), state.get("detector"))
+    if fresh != state:
+        missing = object()
+        key = next(k for k in [*fresh, *state]
+                   if fresh.get(k, missing) != state.get(k, missing))
+        name = "threshold (lambda)" if key == "lambda" else repr(key)
         raise ValueError(
-            f"stored threshold {stored_thr} disagrees with recomputed {rej.threshold}"
+            f"stored {name} disagrees with the value recomputed from the "
+            "stored scores and parameters"
         )
     return rej
 

@@ -8,8 +8,11 @@ set is a binomial upper tail:
     P(anomaly | psi_n) = P(X >= n - a + 1),   X ~ Binomial(n, q)
 
 with ``a = floor(n * gamma)`` and ``q = (1 + n * psi_n) / (2 + n)``.
-Confidence in a prediction is ``|2 P - 1|``; predictions whose ``P``
-falls inside ``[exp(-T), 1 - exp(-T)]`` are candidates for rejection.
+Confidence in a prediction is ``|2 P - 1|``.  A prediction is rejected
+when ``P`` and ``1 - P``, each computed as its own tail, are both at
+least ``exp(-T)``.  ``P`` depends only on the training count
+``j = n * psi_n``, so the rule is ``k_lo <= j < k_hi`` with the two
+counts of :func:`rejection_cutoffs`.
 """
 
 from __future__ import annotations
@@ -21,22 +24,20 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammaln
 
 from .core import (
+    _BETAINC_TRUST_FLOOR,
     DegenerateStabilityMap,
     DomainError,
     NonFiniteInput,
     ScoreSet,
     ToleranceSpec,
     anomaly_count,
+    validate_domain,
 )
 
 __all__ = [
     "training_frequency",
-    "in_sample_frequencies",
-    "stability_probability",
     "stability_tails",
     "confidence",
-    "in_rejection_band",
-    "reject_from_tails",
     "rejection_cutoffs",
     "stability_inverse",
 ]
@@ -63,18 +64,6 @@ def training_frequency(train: ScoreSet, s):
         raise NonFiniteInput("query scores must be finite")
     psi = np.searchsorted(train.sorted_scores, arr, side="right") / train.n
     return float(psi) if arr.ndim == 0 else psi
-
-
-def in_sample_frequencies(train: ScoreSet) -> np.ndarray:
-    """Training frequency of each training score, in input order."""
-    return np.searchsorted(train.sorted_scores, train.scores, side="right") / train.n
-
-
-def _validate_n_gamma(n: int, gamma: float) -> None:
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (0.0 <= gamma < 0.5):
-        raise DomainError(f"gamma must lie in [0, 0.5), got {gamma}")
 
 
 @lru_cache(maxsize=8)
@@ -145,49 +134,28 @@ def _log_binom_tail(k: int, n: int, q: float) -> float:
     return float(_log_binom_tail_many(k, n, np.asarray([q], dtype=float))[0])
 
 
-# Below this magnitude the incomplete-beta routine can return values
-# with only a couple of correct digits (observed ~5e-2 relative error
-# near 1e-300); the log-space summation is good to ~1e-12 there.
-_BETAINC_TRUST_FLOOR = 1e-250
-
-
-def _binom_upper_tail(k, n: int, q):
-    """P(X >= k) for X ~ Binomial(n, q), vectorized over k and q.
+def _binom_upper_tail(k: int, n: int, q):
+    """P(X >= k) for X ~ Binomial(n, q) with ``1 <= k <= n``, vectorized
+    over q.
 
     Uses the regularized incomplete beta identity
     ``P(X >= k) = I_q(k, n - k + 1)``.  scipy reports no error estimate,
-    so the log-space summation stands in whenever the beta routine
-    returns a non-finite value or anything below the magnitude where
-    its accuracy has been spot-checked.
+    so the log-space summation (good to ~1e-12) stands in whenever the
+    beta routine returns a non-finite value or anything below the
+    magnitude where its accuracy has been spot-checked.
     """
-    k = np.asarray(k)
     q = np.asarray(q, dtype=float)
-    out = np.empty(np.broadcast(k, q).shape, dtype=float)
-    kb, qb = np.broadcast_arrays(k, q)
-    inside = (kb >= 1) & (kb <= n)
-    out[kb < 1] = 1.0
-    out[kb > n] = 0.0
-    if np.any(inside):
-        ki = kb[inside].astype(float)
-        out[inside] = betainc(ki, n - ki + 1.0, qb[inside])
-    bad = inside & (~np.isfinite(out) | (out < _BETAINC_TRUST_FLOOR))
+    out = np.asarray(betainc(float(k), n - float(k) + 1.0, q), dtype=float)
+    bad = ~np.isfinite(out) | (out < _BETAINC_TRUST_FLOOR)
     if np.any(bad):
-        kb_bad = kb[bad].astype(int)
-        qb_bad = qb[bad].astype(float)
-        res = np.empty(qb_bad.shape)
-        for kv in np.unique(kb_bad):
-            sel = kb_bad == kv
-            res[sel] = np.exp(_log_binom_tail_many(int(kv), n, qb_bad[sel]))
-        out[bad] = res
+        out[bad] = np.exp(_log_binom_tail_many(k, n, q[bad]))
     return out
 
 
-def _binom_lower_tail(m, n: int, q):
+def _binom_lower_tail(m: int, n: int, q):
     """P(X <= m) for X ~ Binomial(n, q), computed directly (not as 1 - upper)."""
-    m = np.asarray(m)
-    q = np.asarray(q, dtype=float)
     # P(X <= m) = P(Y >= n - m) for Y ~ Binomial(n, 1 - q).
-    return _binom_upper_tail(n - m, n, 1.0 - q)
+    return _binom_upper_tail(n - m, n, 1.0 - np.asarray(q, dtype=float))
 
 
 def _q_of_psi(psi, n: int):
@@ -201,9 +169,8 @@ def _check_psi(psi) -> np.ndarray:
     return arr
 
 
-def stability_probability(psi_n, n: int, gamma: float):
-    """Probability that a score with training frequency ``psi_n`` would be
-    predicted anomalous under a resampled training set.
+def stability_tails(psi_n, n: int, gamma: float):
+    """Upper and lower binomial tails of the stability distribution.
 
     Parameters
     ----------
@@ -216,33 +183,16 @@ def stability_probability(psi_n, n: int, gamma: float):
 
     Returns
     -------
-    float or ndarray
-        ``P(X >= n - a + 1)`` with ``a = floor(n * gamma)`` and
-        ``X ~ Binomial(n, (1 + n * psi_n) / (2 + n))``.  Zero when
-        ``a == 0`` (the empty sum).
-    """
-    arr = _check_psi(psi_n)
-    _validate_n_gamma(n, gamma)
-    a = anomaly_count(n, gamma)
-    if a == 0:
-        out = np.zeros_like(arr)
-        return float(out) if arr.ndim == 0 else out
-    out = _binom_upper_tail(n - a + 1, n, _q_of_psi(arr, n))
-    return float(out) if arr.ndim == 0 else out
-
-
-def stability_tails(psi_n, n: int, gamma: float):
-    """Upper and lower binomial tails of the stability distribution.
-
-    Returns
-    -------
     (upper, lower) : pair of float or ndarray
-        ``upper = P(X >= n - a + 1)`` is the anomaly probability;
-        ``lower = P(X <= n - a)`` is its complement, computed directly
-        so that values near one keep full relative accuracy.
+        ``upper = P(X >= n - a + 1)`` with ``a = floor(n * gamma)`` and
+        ``X ~ Binomial(n, (1 + n * psi_n) / (2 + n))`` is the anomaly
+        probability: the chance that the score would be predicted
+        anomalous under a resampled training set.  ``lower = P(X <= n - a)``
+        is its complement, computed directly so that values near one keep
+        full relative accuracy.  ``(0, 1)`` when ``a == 0``.
     """
     arr = _check_psi(psi_n)
-    _validate_n_gamma(n, gamma)
+    validate_domain(n=n, gamma=gamma)
     a = anomaly_count(n, gamma)
     if a == 0:
         up = np.zeros_like(arr)
@@ -263,30 +213,6 @@ def confidence(p_anomaly):
         raise DomainError("p_anomaly must lie in [0, 1]")
     out = np.abs(2.0 * p - 1.0)
     return float(out) if p.ndim == 0 else out
-
-
-def in_rejection_band(p_anomaly, tol: ToleranceSpec):
-    """True when ``p_anomaly`` lies in the closed band
-    ``[exp(-T), 1 - exp(-T)]``.
-
-    Equivalent to ``confidence <= 1 - 2 exp(-T)`` but compared in
-    probability space, where both band edges are far from the rounding
-    cliff at 1.
-    """
-    p = np.asarray(p_anomaly, dtype=float)
-    edge = tol.band_edge
-    out = (p >= edge) & (p <= 1.0 - edge)
-    return bool(out) if p.ndim == 0 else out
-
-
-def reject_from_tails(upper, lower, tol: ToleranceSpec):
-    """Band membership from both tails: ``upper >= exp(-T)`` and
-    ``1 - p = lower >= exp(-T)``, each tail computed directly."""
-    edge = tol.band_edge
-    up = np.asarray(upper, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    out = (up >= edge) & (lo >= edge)
-    return bool(out) if up.ndim == 0 else out
 
 
 def _tail_at(k: int, n: int, q: float) -> float:
@@ -348,20 +274,11 @@ def rejection_cutoffs(n: int, gamma: float, tol: ToleranceSpec) -> tuple[int, in
 
     Raises
     ------
-    DomainError
-        If ``exp(-T)`` is below ``1e-250`` (``T`` above about 575), where
-        the tails are not trusted.
     DegenerateStabilityMap
         If ``floor(n * gamma) == 0``: nothing is ever rejected.
     """
-    _validate_n_gamma(n, gamma)
+    validate_domain(n=n, gamma=gamma)
     edge = tol.band_edge
-    if edge < _BETAINC_TRUST_FLOOR:
-        raise DomainError(
-            f"exp(-T) = {edge:.3g} is below the {_BETAINC_TRUST_FLOOR:g} floor "
-            f"of the tail computation; T must be at most "
-            f"{-math.log(_BETAINC_TRUST_FLOOR):.1f}, got {tol.T}"
-        )
     a = anomaly_count(n, gamma)
     if a == 0:
         raise DegenerateStabilityMap(
@@ -404,7 +321,7 @@ def stability_inverse(
     target_p : float
         Target probability, in ``(0, 1)``.
     n, gamma
-        As in :func:`stability_probability`; ``floor(n * gamma)`` must be
+        As in :func:`stability_tails`; ``floor(n * gamma)`` must be
         positive.
     tol : float
         Absolute tolerance on ``psi_n``.
@@ -422,7 +339,7 @@ def stability_inverse(
     DegenerateStabilityMap
         If ``floor(n * gamma) == 0``: the map is identically zero.
     """
-    _validate_n_gamma(n, gamma)
+    validate_domain(n=n, gamma=gamma)
     if not (0.0 < target_p < 1.0):
         raise DomainError(f"target_p must lie in (0, 1), got {target_p}")
     a = anomaly_count(n, gamma)

@@ -18,15 +18,19 @@ import numpy as np
 from .bench import _make_family, cost_preset
 from .bounds import (
     band_edges,
-    band_implication_holds,
     expected_cost_upper_bound,
     raw_band_edges,
-    rejection_band,
 )
-from .core import DomainError, ScoreSet, ToleranceSpec, anomaly_count
+from .core import (
+    DegenerateStabilityMap,
+    DomainError,
+    ScoreSet,
+    ToleranceSpec,
+    anomaly_count,
+)
 from .detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
-from .rejector import empirical_cost, fit, oracle_sweep, predict, predict_batch
-from .stability import stability_probability, stability_tails
+from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
+from .stability import rejection_cutoffs, stability_tails
 
 __all__ = [
     "PropertyCheck",
@@ -70,7 +74,7 @@ def exact_stability_probability(psi: float, n: int, gamma: float) -> Fraction:
     """Arbitrary-precision tail probability used as a testing oracle.
 
     Computes the same binomial upper tail as
-    :func:`adreject.stability_probability` with exact rational
+    :func:`adreject.stability_tails` with exact rational
     arithmetic: ``q = (1 + n psi) / (n + 2)`` with ``psi`` taken at its
     exact binary-float value, summed over the top ``floor(n gamma)``
     outcomes with big-integer binomials.
@@ -107,7 +111,7 @@ def exact_binomial_check(
     for n in range(1, n_max + 1):
         for gamma in gammas:
             for psi in psis:
-                fast = stability_probability(psi, n, gamma)
+                fast = stability_tails(psi, n, gamma)[0]
                 exact = float(exact_stability_probability(psi, n, gamma))
                 err = abs(fast - exact) / max(exact, 1e-300)
                 count += 1
@@ -122,15 +126,6 @@ def exact_binomial_check(
     )
 
 
-def _band_psi_samples(t1: float, t2: float, n_psi: int) -> np.ndarray:
-    edge = max(n_psi // 5, 2)
-    base = np.linspace(0.0, 1.0, max(n_psi - 2 * edge, 2))
-    near1 = np.linspace(max(0.0, t1 - 0.05), min(1.0, t1 + 0.05), edge)
-    near2 = np.linspace(max(0.0, t2 - 0.05), min(1.0, t2 + 0.05), edge)
-    mid = np.asarray([t1, t2, 0.5 * (t1 + t2)])
-    return np.unique(np.concatenate([base, near1, near2, mid]))
-
-
 def band_cover_check(
     ns: tuple[int, ...] = GRID_NS,
     gammas: tuple[float, ...] = GRID_GAMMAS,
@@ -138,6 +133,13 @@ def band_cover_check(
     n_psi: int = 1000,
 ) -> PropertyCheck:
     """Every rejected frequency lies inside [t1, t2]; edges are sharp.
+
+    Cover: the rejected frequencies are exactly ``j / n`` for the counts
+    ``k_lo <= j < k_hi`` of :func:`rejection_cutoffs`, so the band covers
+    all of them iff ``t1 <= k_lo / n`` and ``(k_hi - 1) / n <= t2`` (or
+    nothing is rejected).  That settles every reachable frequency, and
+    ``n_psi`` is ignored: it sized a sampled frequency grid, and is kept
+    so existing callers run unchanged.
 
     Sharpness: where an edge is interior (not produced by clipping),
     the stability tail at the edge itself already satisfies its
@@ -150,9 +152,12 @@ def band_cover_check(
         for gamma in gammas:
             for T in Ts:
                 t1, t2 = band_edges(n, gamma, T)
-                psi = _band_psi_samples(t1, t2, n_psi)
-                points += psi.size
-                if not band_implication_holds(n, gamma, T, psi):
+                points += n + 1
+                try:
+                    k_lo, k_hi = rejection_cutoffs(n, gamma, ToleranceSpec(T))
+                except DegenerateStabilityMap:  # nothing is ever rejected
+                    k_lo, k_hi = n + 1, n + 1
+                if k_lo < k_hi and not (t1 <= k_lo / n and (k_hi - 1) / n <= t2):
                     violations.append((n, gamma, T, "cover"))
                     continue
                 slack = math.exp(-T) * (1.0 + 1e-9)
@@ -166,7 +171,7 @@ def band_cover_check(
                     if lo[0] > slack:
                         violations.append((n, gamma, T, "t2-sharpness"))
     passed = not violations
-    detail = f"{points} frequency samples, {len(violations)} violations"
+    detail = f"{points} training counts, {len(violations)} violations"
     if violations:
         detail += f"; first at (n, gamma, T, kind)={violations[0]}"
     return _timed(
@@ -420,7 +425,7 @@ def degenerate_check(seed: int = 0) -> PropertyCheck:
         batch = predict_batch(rej, rng.normal(0.0, 1.0, 500))
         if batch.base_anomaly.any() or batch.rejected.any():
             problems.append("gamma=0: produced anomaly/reject decisions")
-        predict(rej, 3.5)
+        predict_batch(rej, 3.5)
     except Exception as exc:  # noqa: BLE001 - the property is "no crash"
         problems.append(f"gamma=0 raised {type(exc).__name__}: {exc}")
     try:
@@ -460,7 +465,7 @@ def default_verification(
     if quick:
         return [
             exact_binomial_check(n_max=40),
-            band_cover_check(ns=(100, 1000), Ts=ts, n_psi=200),
+            band_cover_check(ns=(100, 1000), Ts=ts),
             band_shape_check(ns=(100, 1000), Ts=ts),
             rate_estimator_check(n=1000, trials=10, tol=0.03, min_frac=0.7, seed=seed),
             rate_bound_check(trials=20, delta=delta, min_frac=0.9, seed=seed),

@@ -81,6 +81,14 @@ def full_range_log_binom_tail(k: int, n: int, qs: np.ndarray) -> np.ndarray:
     return out
 
 
+def reject_from_tails(upper, lower, T: float) -> np.ndarray:
+    """Per-query rejection rule: both tails, each computed directly, at or
+    above ``exp(-T)``, i.e. the anomaly probability in the closed band
+    ``[exp(-T), 1 - exp(-T)]`` without forming ``1 - exp(-T)``."""
+    edge = math.exp(-T)
+    return (np.asarray(upper) >= edge) & (np.asarray(lower) >= edge)
+
+
 def bisection_rate_estimate(scores, gamma: float, T: float):
     """``(A, B)`` of the rate estimate by float bisection on psi.
 

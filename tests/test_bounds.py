@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,24 +6,20 @@ from hypothesis import strategies as st
 from adreject.bounds import (
     RateEstimate,
     band_edges,
-    band_implication_holds,
-    cost_bound,
     expected_cost_upper_bound,
     raw_band_edges,
     rejection_band,
     rejection_rate_estimate,
-    rejection_rate_upper_bound,
-    score_rejection_interval,
 )
 from adreject.core import (
     CostSpec,
     DegenerateStabilityMap,
     DomainError,
-    EmptyInterval,
     ScoreSet,
     ToleranceSpec,
 )
 from adreject.rejector import fit, predict_batch
+from adreject.stability import rejection_cutoffs
 
 from oracles import bisection_rate_estimate, decimal_band_edges
 
@@ -82,7 +76,12 @@ class TestBandEdges:
             band_edges(bad["n"], bad["gamma"], bad["T"])
 
     def test_implication_spot_check(self):
-        assert band_implication_holds(1000, 0.1, 8.0, np.linspace(0, 1, 501))
+        # Every rejected count j in [k_lo, k_hi) has j / n inside the band.
+        n = 1000
+        t1, t2 = band_edges(n, 0.1, 8.0)
+        k_lo, k_hi = rejection_cutoffs(n, 0.1, ToleranceSpec(8.0))
+        assert k_lo < k_hi
+        assert t1 <= k_lo / n and (k_hi - 1) / n <= t2
 
 
 class TestRejectionBand:
@@ -97,13 +96,8 @@ class TestRejectionBand:
         band = rejection_band(5, 0.49, 4.0, delta=0.05)
         assert band.h == 1.0
 
-    def test_upper_bound_equals_band_h(self):
-        assert rejection_rate_upper_bound(2000, 0.1, 32.0, 0.05) == rejection_band(
-            2000, 0.1, 32.0, 0.05
-        ).h
-
     def test_h_decreases_with_n(self):
-        hs = [rejection_rate_upper_bound(n, 0.1, 32.0) for n in (100, 1000, 10000, 100000)]
+        hs = [rejection_band(n, 0.1, 32.0).h for n in (100, 1000, 10000, 100000)]
         assert all(a > b for a, b in zip(hs, hs[1:]))
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1])
@@ -180,13 +174,6 @@ class TestCostBound:
             0.05 * 100.0, rel=1e-15
         )
 
-    def test_wrapper_carries_inputs(self):
-        est = RateEstimate(0.2, 0.8)
-        cb = cost_bound(est, 0.3, CostSpec(1.0, 1.0, 0.3))
-        assert cb.bound == pytest.approx(0.58, rel=1e-15)
-        assert cb.gamma == 0.3
-        assert cb.below_band == 0.2 and cb.up_to_band == 0.8
-
     def test_invalid_mass_order(self):
         with pytest.raises(DomainError):
             expected_cost_upper_bound(0.8, 0.2, 0.1, CostSpec(1.0, 1.0, 0.0))
@@ -207,25 +194,3 @@ class TestCostBound:
         bound = expected_cost_upper_bound(est.below_band, est.up_to_band, 0.1, costs)
         assert 0.0 <= bound <= costs.c_fp + costs.c_fn
 
-
-class TestScoreRejectionInterval:
-    def test_interval_brackets_band_frequencies(self):
-        n = 1000
-        train = ScoreSet(np.arange(1.0, n + 1.0), 0.1)
-        tol = ToleranceSpec(8.0)
-        low, high = score_rejection_interval(train, tol)
-        t1, t2 = band_edges(n, 0.1, tol.T)
-        lo_rank = math.ceil(t1 * n)
-        hi_rank = math.floor(t2 * n)
-        assert low == float(lo_rank)
-        assert high == float(hi_rank)
-        assert low <= high
-
-    def test_empty_interval(self):
-        # All scores tie, so every frequency is 1.0 — above the band
-        # once n is large enough that the upper edge stays below 1.
-        train = ScoreSet(np.full(10000, 2.5), 0.1)
-        t1, t2 = band_edges(10000, 0.1, 4.0)
-        assert t2 < 1.0
-        with pytest.raises(EmptyInterval):
-            score_rejection_interval(train, ToleranceSpec(4.0))

@@ -230,6 +230,15 @@ class TestPredict:
         assert proc.returncode == 2
         assert "threshold" in json.loads(proc.stderr)["error"]["message"]
 
+    def test_tampered_band_exit_2(self, tmp_path, train_csv):
+        model, _ = self._fit(tmp_path, train_csv)
+        state = json.loads(model.read_text())
+        state["band"]["h"] = state["band"]["h"] / 2
+        model.write_text(json.dumps(state))
+        proc = run_cli("predict", "--model", str(model), "--test", str(train_csv))
+        assert proc.returncode == 2
+        assert "'band'" in json.loads(proc.stderr)["error"]["message"]
+
     def test_gamma_zero_never_rejects(self, tmp_path, train_csv):
         model = tmp_path / "m0.json"
         proc = run_cli(

@@ -89,11 +89,17 @@ class TestToleranceSpec:
         assert tol.tau + tol.epsilon == 1.0
         assert tol.band_edge == math.exp(-32.0)
 
-    @pytest.mark.parametrize("T", [4.0, 8.0, 700.0])
+    @pytest.mark.parametrize("T", [4.0, 8.0, 575.0])
     def test_tau_epsilon_complementary(self, T):
         tol = ToleranceSpec(T)
         assert tol.tau + tol.epsilon == 1.0
         assert 0.0 < tol.epsilon < 1.0
+
+    @pytest.mark.parametrize("T", [576.0, 700.0, 1e6])
+    def test_refuses_T_beyond_trust_floor(self, T):
+        # exp(-T) below 1e-250, where the tails are not trusted.
+        with pytest.raises(DomainError, match="T must be at most 575.6"):
+            ToleranceSpec(T)
 
     @pytest.mark.parametrize("T", [3, 3.999999, -1.0, np.nan, np.inf])
     def test_rejects_bad_T(self, T):

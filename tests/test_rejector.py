@@ -21,20 +21,17 @@ from adreject.rejector import (
     from_dict,
     load_model,
     oracle_sweep,
-    oracle_threshold,
-    predict,
     predict_batch,
     save_model,
     to_dict,
 )
 from adreject.stability import (
     confidence,
-    reject_from_tails,
     stability_tails,
     training_frequency,
 )
 
-from oracles import brute_cost
+from oracles import brute_cost, reject_from_tails
 
 
 def _fit(scores, gamma, T=8.0):
@@ -65,18 +62,19 @@ class TestDecisionThreshold:
 class TestPredict:
     def test_scalar_matches_batch(self):
         rej = _fit(np.arange(1.0, 201.0), 0.1)
-        for s in (0.0, 91.3, 180.0, 250.0):
-            decision, res = predict(rej, s)
-            batch = predict_batch(rej, [s])
-            assert res.psi_n == batch.psi_n[0]
-            assert res.p_anomaly == batch.p_anomaly[0]
-            assert res.confidence == batch.confidence[0]
+        grid = [0.0, 91.3, 180.0, 250.0]
+        batch = predict_batch(rej, grid)
+        for i, s in enumerate(grid):
+            one = predict_batch(rej, s)
+            assert len(one) == 1
+            for name in ("psi_n", "p_anomaly", "confidence", "base_anomaly", "rejected"):
+                assert getattr(one, name)[0] == getattr(batch, name)[i], name
             want = (
                 Decision.REJECT
-                if batch.rejected[0]
-                else (Decision.ANOMALY if batch.base_anomaly[0] else Decision.NORMAL)
+                if batch.rejected[i]
+                else (Decision.ANOMALY if batch.base_anomaly[i] else Decision.NORMAL)
             )
-            assert decision is want
+            assert one.decisions == [want]
 
     def test_base_rule_is_threshold_comparison(self):
         rej = _fit(np.arange(1.0, 101.0), 0.1)
@@ -106,8 +104,7 @@ class TestPredict:
         batch = predict_batch(rej, [0.0, 2.0, 99.0])
         assert not batch.base_anomaly.any()
         assert not batch.rejected.any()
-        decision, _ = predict(rej, 99.0)
-        assert decision is Decision.NORMAL
+        assert predict_batch(rej, 99.0).decisions == [Decision.NORMAL]
 
 
 class TestCountTable:
@@ -132,7 +129,7 @@ class TestCountTable:
             "p_anomaly": upper,
             "confidence": confidence(upper),
             "base_anomaly": queries >= rej.threshold,
-            "rejected": reject_from_tails(upper, lower, rej.tol),
+            "rejected": reject_from_tails(upper, lower, T),
         }
         got = predict_batch(rej, queries)
         for name, value in want.items():
@@ -161,8 +158,7 @@ class TestLargeTolerance:
         batch = predict_batch(rej, train.scores)
         assert batch.rejected.any() and not batch.rejected.all()
         assert rej.estimate.r_hat == pytest.approx(batch.rejected.mean(), abs=1e-12)
-        _, res = predict(rej, float(train.scores[0]))
-        assert res.psi_n == batch.psi_n[0]
+        assert predict_batch(rej, float(train.scores[0])).psi_n[0] == batch.psi_n[0]
 
     def test_rejections_grow_with_T(self):
         train = ScoreSet(np.random.default_rng(3).normal(size=2000), 0.1)
@@ -251,11 +247,6 @@ class TestOracleSweep:
             fixed = empirical_cost(batch.base_anomaly, batch.rejected, labels, costs)
             assert oracle_cost <= fixed + 1e-12
 
-    def test_oracle_threshold_helper(self):
-        rej, labels = self._setup(seed=3)
-        costs = CostSpec(1.0, 1.0, 0.15)
-        assert oracle_threshold(rej, labels, costs) == oracle_sweep(rej, labels, costs)[0]
-
     def test_rejection_beats_no_rejection_on_adversarial_labels(self):
         # Labels disagree with the base rule exactly on the rejected
         # points, so keeping them costs 1 each while rejecting costs c_r.
@@ -330,6 +321,47 @@ class TestSerialization:
         state = to_dict(rej)
         state["lambda"] = state["lambda"] + 1.0
         with pytest.raises(ValueError, match="threshold"):
+            from_dict(state)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.02, 0.1, 0.3])
+    @pytest.mark.parametrize("T", [4.0, 32.0, 256.0, 575.0])
+    def test_saved_state_is_reproduced_exactly(self, gamma, T):
+        rng = np.random.default_rng(int(T))
+        rej = _fit(np.round(rng.normal(size=300), 2), gamma, T)
+        state = json.loads(json.dumps(to_dict(rej, "score")))
+        assert to_dict(from_dict(state), "score") == state
+
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("band", lambda s: s["band"].update(h=s["band"]["h"] + 0.01)),
+            ("band", lambda s: s["band"].update(t1=s["band"]["t1"] - 0.01)),
+            ("estimate", lambda s: s["estimate"].update(r_hat=s["estimate"]["r_hat"] + 0.01)),
+            ("estimate", lambda s: s["estimate"].update(below_band=0.0)),
+            ("degenerate", lambda s: s.update(degenerate=True)),
+            # Out of order, with the top ranks (and so lambda) unchanged.
+            ("scores_sorted", lambda s: s["scores_sorted"].__setitem__(0, 1.5)),
+        ],
+        ids=["band.h", "band.t1", "estimate.r_hat", "estimate.below_band",
+             "degenerate", "scores_sorted"],
+    )
+    def test_tampered_field_rejected(self, field, edit):
+        rej = _fit(np.arange(20.0), 0.2)
+        state = json.loads(json.dumps(to_dict(rej)))
+        edit(state)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            from_dict(state)
+
+    @pytest.mark.parametrize(
+        "field,value", [("gamma", None), ("delta", "0.05"), ("t_tolerance", [32.0])]
+    )
+    def test_missing_or_mistyped_field_rejected(self, field, value):
+        state = to_dict(_fit(np.arange(20.0), 0.2))
+        if value is None:
+            del state[field]
+        else:
+            state[field] = value
+        with pytest.raises(ValueError, match="missing or of the wrong type"):
             from_dict(state)
 
     def test_detector_extras_preserved(self, tmp_path):

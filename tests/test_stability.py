@@ -17,12 +17,8 @@ from adreject.stability import (
     _first_count,
     _log_binom_tail_many,
     confidence,
-    in_rejection_band,
-    in_sample_frequencies,
-    reject_from_tails,
     rejection_cutoffs,
     stability_inverse,
-    stability_probability,
     stability_tails,
     training_frequency,
 )
@@ -31,7 +27,13 @@ from oracles import (
     brute_stability,
     brute_training_frequency,
     full_range_log_binom_tail,
+    reject_from_tails,
 )
+
+
+def _upper(psi, n, gamma):
+    """The anomaly probability: the upper tail of :func:`stability_tails`."""
+    return stability_tails(psi, n, gamma)[0]
 
 
 def _count_grid_tails(n, gamma):
@@ -69,56 +71,56 @@ class TestTrainingFrequency:
 
     def test_in_sample_frequencies_input_order(self):
         train = ScoreSet([3.0, 1.0, 2.0], 0.1)
-        assert in_sample_frequencies(train).tolist() == [1.0, 1 / 3, 2 / 3]
+        assert training_frequency(train, train.scores).tolist() == [1.0, 1 / 3, 2 / 3]
 
     def test_in_sample_with_ties(self):
         train = ScoreSet([5.0, 5.0, 1.0], 0.1)
-        assert in_sample_frequencies(train).tolist() == [1.0, 1.0, 1 / 3]
+        assert training_frequency(train, train.scores).tolist() == [1.0, 1.0, 1 / 3]
 
 
 class TestStabilityProbability:
     def test_frozen_single_anomaly_full_frequency(self):
         # n=10, gamma=0.1: a=1, P = q^10 with q = 11/12 at psi = 1.
-        assert stability_probability(1.0, 10, 0.1) == pytest.approx(
+        assert _upper(1.0, 10, 0.1) == pytest.approx(
             (11 / 12) ** 10, rel=1e-15
         )
         assert (11 / 12) ** 10 == pytest.approx(0.41890388788459276, rel=1e-15)
 
     def test_frozen_two_anomalies_half_frequency(self):
         # n=10, gamma=0.2: a=2, q=1/2, P(X>=9) = 11/1024 exactly.
-        assert stability_probability(0.5, 10, 0.2) == pytest.approx(
+        assert _upper(0.5, 10, 0.2) == pytest.approx(
             11 / 1024, rel=1e-13
         )
 
     def test_degenerate_sentinel_is_zero(self):
         # floor(n gamma) = 0: nothing would ever be flagged anomalous.
-        assert stability_probability(0.7, 9, 0.1) == 0.0
-        assert stability_probability(1.0, 50, 0.0) == 0.0
+        assert _upper(0.7, 9, 0.1) == 0.0
+        assert _upper(1.0, 50, 0.0) == 0.0
 
     @pytest.mark.parametrize("n,gamma", [(10, 0.2), (37, 0.3), (100, 0.49)])
     def test_matches_exact_rational(self, n, gamma):
         for psi in (0.0, 0.3, 0.5, 0.77, 1.0):
             exact = float(brute_stability(psi, n, gamma))
-            assert stability_probability(psi, n, gamma) == pytest.approx(
+            assert _upper(psi, n, gamma) == pytest.approx(
                 exact, rel=1e-12, abs=1e-300
             )
 
     def test_monotone_in_psi(self):
         psi = np.linspace(0.0, 1.0, 10001)
-        p = stability_probability(psi, 100, 0.1)
+        p = _upper(psi, 100, 0.1)
         assert np.all(np.diff(p) >= -1e-12)
         assert p[0] < 1e-6 and p[-1] > 0.9
 
     def test_vectorized_matches_scalar(self):
         psi = np.asarray([0.0, 0.25, 0.9])
-        vec = stability_probability(psi, 50, 0.2)
+        vec = _upper(psi, 50, 0.2)
         for i, x in enumerate(psi):
-            assert vec[i] == stability_probability(float(x), 50, 0.2)
+            assert vec[i] == _upper(float(x), 50, 0.2)
 
     @pytest.mark.parametrize("psi", [-0.1, 1.1, np.nan])
     def test_psi_domain(self, psi):
         with pytest.raises(DomainError):
-            stability_probability(psi, 10, 0.2)
+            _upper(psi, 10, 0.2)
 
 
 class TestStabilityTails:
@@ -130,7 +132,8 @@ class TestStabilityTails:
     def test_upper_tail_is_stability(self):
         psi = np.asarray([0.2, 0.8, 0.95])
         upper, _ = stability_tails(psi, 100, 0.3)
-        assert np.allclose(upper, stability_probability(psi, 100, 0.3), rtol=0, atol=0)
+        for p, x in zip(upper, psi):
+            assert p == pytest.approx(float(brute_stability(x, 100, 0.3)), rel=1e-12)
 
     def test_extreme_tail_accuracy(self):
         # Deep in the lower tail the direct complement computation keeps
@@ -153,13 +156,20 @@ class TestConfidenceAndBand:
             confidence(p)
 
     def test_band_closed_at_edges(self):
-        tol = ToleranceSpec(8.0)
-        edge = math.exp(-8.0)
-        assert in_rejection_band(edge, tol)
-        assert in_rejection_band(1.0 - edge, tol)
-        assert in_rejection_band(0.5, tol)
-        assert not in_rejection_band(edge * (1 - 1e-12), tol)
-        assert not in_rejection_band(1.0 - edge * (1 - 1e-12), tol)
+        # A count whose tail equals exp(-T) exactly is rejected at either
+        # edge: pick T so that exp(-T) is itself an entry of the table.
+        n, gamma = 500, 0.1
+        up, lo = stability_tails(np.arange(n + 1) / n, n, gamma)
+        for side, tails in ((0, up), (1, lo)):
+            hits = 0
+            for j, p in enumerate(tails.tolist()):
+                T = -math.log(p) if p > 0.0 else math.inf
+                if not (4.0 <= T <= 575.0 and math.exp(-T) == p):
+                    continue
+                k_lo, k_hi = rejection_cutoffs(n, gamma, ToleranceSpec(T))
+                assert (k_lo, k_hi)[side] == (j, j + 1)[side]
+                hits += 1
+            assert hits > 0, side
 
     def test_band_equals_confidence_threshold(self):
         # p in [e^-T, 1-e^-T]  <=>  |2p-1| <= 1 - 2 e^-T, checked exactly.
@@ -173,12 +183,13 @@ class TestConfidenceAndBand:
             assert in_band == low_conf
 
     def test_reject_from_tails_agrees_with_band(self):
-        tol = ToleranceSpec(8.0)
-        psi = np.linspace(0.0, 1.0, 2001)
-        upper, lower = stability_tails(psi, 500, 0.1)
-        rejected = reject_from_tails(upper, lower, tol)
-        in_band = np.asarray([in_rejection_band(float(p), tol) for p in upper])
-        assert np.array_equal(rejected, in_band)
+        # The per-query rule on both tails and the fitted count rule agree
+        # at every reachable frequency j / n.
+        n = 500
+        j = np.arange(n + 1)
+        upper, lower = stability_tails(j / n, n, 0.1)
+        k_lo, k_hi = rejection_cutoffs(n, 0.1, ToleranceSpec(8.0))
+        assert np.array_equal(reject_from_tails(upper, lower, 8.0), (k_lo <= j) & (j < k_hi))
 
 
 class TestStabilityInverse:
@@ -186,19 +197,19 @@ class TestStabilityInverse:
     def test_round_trip(self, target):
         psi = stability_inverse(target, 1000, 0.1)
         assert 0.0 <= psi <= 1.0
-        assert stability_probability(psi, 1000, 0.1) >= target
+        assert _upper(psi, 1000, 0.1) >= target
         # One grid step to the left falls below the target.
-        below = stability_probability(max(psi - 1e-6, 0.0), 1000, 0.1)
+        below = _upper(max(psi - 1e-6, 0.0), 1000, 0.1)
         assert below <= target * (1 + 1e-6)
 
     def test_round_trip_accuracy(self):
         psi = stability_inverse(0.5, 1000, 0.1)
-        assert stability_probability(psi, 1000, 0.1) == pytest.approx(0.5, abs=1e-9)
+        assert _upper(psi, 1000, 0.1) == pytest.approx(0.5, abs=1e-9)
 
     def test_log_mode_tiny_target(self):
         target = math.exp(-32.0)
         psi = stability_inverse(target, 2000, 0.1)
-        p = stability_probability(psi, 2000, 0.1)
+        p = _upper(psi, 2000, 0.1)
         assert p >= target
         assert math.log(p) == pytest.approx(-32.0, abs=1e-2)
 

@@ -1,0 +1,51 @@
+"""The public surface: the names the package exports, the names the
+benchmark's tracer wraps, and the demos that show the package in use."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import adreject
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in adreject.__all__ if not hasattr(adreject, name)]
+    assert missing == []
+    assert len(set(adreject.__all__)) == len(adreject.__all__)
+
+
+def test_every_traced_binding_resolves():
+    missing = [
+        f"{mod_name}.{name}"
+        for mod_name, names in _load_spans().WRAPS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(mod_name), name, None))
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True,
+        cwd=tmp_path, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

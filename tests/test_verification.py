@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import adreject.verification as verification
 from adreject.core import DomainError
 from adreject.verification import (
     GRID_GAMMAS,
     GRID_NS,
     GRID_TS,
     PropertyCheck,
+    band_cover_check,
     default_verification,
     exact_stability_probability,
 )
@@ -49,3 +51,24 @@ class TestDefaultVerification:
             default_verification(quick=True, t_min=2.0)
         with pytest.raises(DomainError):
             default_verification(quick=True, t_min=64.0)
+
+
+class TestBandCoverCheck:
+    def test_large_tolerance_grid(self):
+        check = band_cover_check(
+            ns=(100, 1000, 10000, 100000),
+            gammas=(0.01, 0.02, 0.1, 0.3, 0.49),
+            Ts=(64, 256, 575),
+        )
+        assert check.passed, check.detail
+        assert check.metrics["violations"] == 0
+
+    def test_reports_cutoffs_outside_the_band(self, monkeypatch):
+        # Rejecting every count reaches frequencies 0 and 1, outside any
+        # interior band.
+        monkeypatch.setattr(
+            verification, "rejection_cutoffs", lambda n, gamma, tol: (0, n + 1)
+        )
+        check = band_cover_check(ns=(1000,), gammas=(0.1,), Ts=(8.0,))
+        assert not check.passed
+        assert "cover" in check.detail
