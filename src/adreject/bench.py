@@ -59,6 +59,7 @@ __all__ = [
     "make_folds",
     "detector_seed",
     "compute_fold_scores",
+    "run_fold",
     "run_trial",
     "rank_auc",
     "aggregate",
@@ -359,7 +360,7 @@ def compute_fold_scores(
     train_idx, test_idx = make_folds(dataset.n, n_folds, seed, dataset.name)[fold]
     spec = DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold))
     det = fit_detector(spec, dataset.X[train_idx])
-    return det.score(dataset.X[train_idx]), det.score(dataset.X[test_idx])
+    return det.train_scores(), det.score(dataset.X[test_idx])
 
 
 @dataclass(frozen=True)
@@ -383,6 +384,106 @@ class TrialResult:
     wall_time_threshold_ms: float
 
 
+def run_fold(
+    dataset: Dataset,
+    detector_spec: DetectorSpec | None,
+    costs: CostSpec,
+    tol: ToleranceSpec,
+    split_seed: int,
+    fold: int,
+    n_folds: int = 5,
+    delta: float = 0.05,
+    scores: tuple[np.ndarray, np.ndarray] | None = None,
+    detector_name: str | None = None,
+    methods: tuple[str, ...] = METHODS,
+) -> list[TrialResult]:
+    """Run one cross-validation fold for each of ``methods``, in order.
+
+    The detector (unless ``scores`` carries its precomputed (train,
+    test) scores), the rejector fit and the test predictions are shared
+    by all methods; each result equals what :func:`run_trial` returns
+    for that method alone.  With ``detector_spec=None`` the scores are
+    mandatory and the trials are recorded under ``detector_name``
+    (default ``"precomputed"``).
+    """
+    for method in methods:
+        if method not in METHODS:
+            raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    if dataset.labels is None:
+        raise MissingGamma(
+            f"dataset {dataset.name}: labels are required to evaluate cost"
+        )
+    validate_cost_spec(costs, dataset.gamma)
+    folds = make_folds(dataset.n, n_folds, split_seed, dataset.name)
+    if not (0 <= fold < n_folds):
+        raise DomainError(f"fold must lie in [0, {n_folds}), got {fold}")
+    train_idx, test_idx = folds[fold]
+    if scores is None:
+        if detector_spec is None:
+            raise DomainError("a trial needs a detector spec or precomputed scores")
+        det = fit_detector(detector_spec, dataset.X[train_idx])
+        s_train = det.train_scores()
+        s_test = det.score(dataset.X[test_idx])
+    else:
+        s_train, s_test = scores
+    if detector_name is None:
+        detector_name = detector_spec.kind if detector_spec is not None else "precomputed"
+    train_set = ScoreSet(s_train, dataset.gamma)
+    rej = fit(train_set, tol, delta)
+    y_train = dataset.labels[train_idx].astype(bool)
+    y_test = dataset.labels[test_idx].astype(bool)
+    batch = predict_batch(rej, s_test)
+    m = y_test.size
+    est = rej.estimate
+    cost_bound = float(
+        expected_cost_upper_bound(est.below_band, est.up_to_band, dataset.gamma, costs)
+    )
+
+    results = []
+    for method in methods:
+        if method == "rejex":
+            # Times the label-free threshold step on its own; the
+            # decision itself comes from the shared fit.
+            t0 = time.perf_counter()
+            _ = ToleranceSpec(tol.T)
+            try:
+                rejection_rate_estimate(train_set, tol)
+            except DegenerateStabilityMap:
+                pass
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            rejected = batch.rejected
+        elif method == "oracle":
+            t0 = time.perf_counter()
+            theta, _ = oracle_sweep(rej, y_train, costs)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            rejected = batch.confidence <= theta
+        else:
+            wall_ms = 0.0
+            rejected = np.zeros(len(batch), dtype=bool)
+        cost = empirical_cost(batch.base_anomaly, rejected, y_test, costs)
+        kept = ~rejected
+        fp = np.count_nonzero(kept & batch.base_anomaly & ~y_test) / m
+        fn = np.count_nonzero(kept & ~batch.base_anomaly & y_test) / m
+        results.append(TrialResult(
+            dataset=dataset.name,
+            detector=detector_name,
+            method=method,
+            fold=fold,
+            n_train=int(train_idx.size),
+            n_test=int(test_idx.size),
+            gamma=dataset.gamma,
+            cost_per_example=float(cost),
+            rejection_rate=float(np.count_nonzero(rejected) / m),
+            fp_rate=float(fp),
+            fn_rate=float(fn),
+            r_hat=float(est.r_hat),
+            bound_h=float(rej.band.h),
+            cost_bound=cost_bound,
+            wall_time_threshold_ms=float(wall_ms),
+        ))
+    return results
+
+
 def run_trial(
     dataset: Dataset,
     detector_spec: DetectorSpec | None,
@@ -396,89 +497,19 @@ def run_trial(
     scores: tuple[np.ndarray, np.ndarray] | None = None,
     detector_name: str | None = None,
 ) -> TrialResult:
-    """Run one cross-validation trial.
+    """Run one cross-validation trial: :func:`run_fold` for one method.
 
     ``scores`` optionally carries precomputed (train, test) detector
-    scores for this exact fold so a harness can share one detector fit
-    across the three methods; passing it changes nothing but wall time.
-    With ``detector_spec=None`` the scores are mandatory and the trial
-    is recorded under ``detector_name`` (default ``"precomputed"``).
+    scores for this exact fold; passing it changes nothing but wall
+    time.  With ``detector_spec=None`` the scores are mandatory and the
+    trial is recorded under ``detector_name`` (default
+    ``"precomputed"``).
     """
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
-    if dataset.labels is None:
-        raise MissingGamma(
-            f"dataset {dataset.name}: labels are required to evaluate cost"
-        )
-    validate_cost_spec(costs, dataset.gamma)
-    folds = make_folds(dataset.n, n_folds, split_seed, dataset.name)
-    if not (0 <= fold < n_folds):
-        raise DomainError(f"fold must lie in [0, {n_folds}), got {fold}")
-    train_idx, test_idx = folds[fold]
-    if scores is None:
-        if detector_spec is None:
-            raise DomainError("run_trial needs a detector spec or precomputed scores")
-        det = fit_detector(detector_spec, dataset.X[train_idx])
-        s_train = det.score(dataset.X[train_idx])
-        s_test = det.score(dataset.X[test_idx])
-    else:
-        s_train, s_test = scores
-    if detector_name is None:
-        detector_name = detector_spec.kind if detector_spec is not None else "precomputed"
-    train_set = ScoreSet(s_train, dataset.gamma)
-    rej = fit(train_set, tol, delta)
-    y_train = dataset.labels[train_idx].astype(bool)
-    y_test = dataset.labels[test_idx].astype(bool)
-
-    if method == "rejex":
-        t0 = time.perf_counter()
-        _ = ToleranceSpec(tol.T)
-        try:
-            rejection_rate_estimate(train_set, tol)
-        except DegenerateStabilityMap:
-            pass
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-    elif method == "oracle":
-        t0 = time.perf_counter()
-        theta, _ = oracle_sweep(rej, y_train, costs)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-    else:
-        wall_ms = 0.0
-
-    batch = predict_batch(rej, s_test)
-    if method == "rejex":
-        rejected = batch.rejected
-    elif method == "noreject":
-        rejected = np.zeros(len(batch), dtype=bool)
-    else:
-        rejected = batch.confidence <= theta
-    cost = empirical_cost(batch.base_anomaly, rejected, y_test, costs)
-    kept = ~rejected
-    m = y_test.size
-    fp = np.count_nonzero(kept & batch.base_anomaly & ~y_test) / m
-    fn = np.count_nonzero(kept & ~batch.base_anomaly & y_test) / m
-    est = rej.estimate
-    return TrialResult(
-        dataset=dataset.name,
-        detector=detector_name,
-        method=method,
-        fold=fold,
-        n_train=int(train_idx.size),
-        n_test=int(test_idx.size),
-        gamma=dataset.gamma,
-        cost_per_example=float(cost),
-        rejection_rate=float(np.count_nonzero(rejected) / m),
-        fp_rate=float(fp),
-        fn_rate=float(fn),
-        r_hat=float(est.r_hat),
-        bound_h=float(rej.band.h),
-        cost_bound=float(
-            expected_cost_upper_bound(
-                est.below_band, est.up_to_band, dataset.gamma, costs
-            )
-        ),
-        wall_time_threshold_ms=float(wall_ms),
-    )
+    return run_fold(
+        dataset, detector_spec, costs, tol, split_seed, fold, n_folds=n_folds,
+        delta=delta, scores=scores, detector_name=detector_name,
+        methods=(method,),
+    )[0]
 
 
 def rank_auc(scores, labels) -> float:
@@ -664,7 +695,8 @@ def run_benchmark(
     custom_costs: CostSpec | None = None,
     scores_only: bool = False,
 ) -> list[TrialResult]:
-    """Run the full trial grid; detector fits are shared across methods.
+    """Run the full trial grid: one detector and one rejector fit per
+    fold, shared by all methods.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
@@ -684,33 +716,17 @@ def run_benchmark(
                 )
             for fold, (train_idx, test_idx) in enumerate(folds):
                 shared = (dataset.X[train_idx, 0], dataset.X[test_idx, 0])
-                for method in methods:
-                    results.append(
-                        run_trial(
-                            dataset, None, method, costs, tol, seed, fold,
-                            n_folds=n_folds, delta=delta, scores=shared,
-                        )
-                    )
+                results += run_fold(
+                    dataset, None, costs, tol, seed, fold, n_folds=n_folds,
+                    delta=delta, scores=shared, methods=methods,
+                )
             continue
         for kind in detector_kinds:
             for fold in range(len(folds)):
-                spec = DetectorSpec(
-                    kind=kind, seed=detector_seed(seed, dataset.name, kind, fold)
-                )
                 shared = compute_fold_scores(dataset, kind, fold, n_folds, seed)
-                for method in methods:
-                    results.append(
-                        run_trial(
-                            dataset,
-                            spec,
-                            method,
-                            costs,
-                            tol,
-                            seed,
-                            fold,
-                            n_folds=n_folds,
-                            delta=delta,
-                            scores=shared,
-                        )
-                    )
+                results += run_fold(
+                    dataset, None, costs, tol, seed, fold, n_folds=n_folds,
+                    delta=delta, scores=shared, detector_name=kind,
+                    methods=methods,
+                )
     return results

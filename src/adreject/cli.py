@@ -149,7 +149,7 @@ def cmd_fit(args) -> int:
     if args.detector is not None:
         spec = DetectorSpec(kind=args.detector, seed=args.seed)
         det = fit_detector(spec, X)
-        scores = det.score(X)
+        scores = det.train_scores()
         detector_state = {
             "kind": spec.kind,
             "k": spec.k,

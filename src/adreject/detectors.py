@@ -14,6 +14,11 @@ as that row: one zero-distance match is discarded, so scoring the
 training set itself behaves like leave-one-out.  The forest sorts rows
 lexicographically before seeded subsampling, making its scores
 invariant to training row order.
+
+Every fitted detector also has ``train_scores()``: the scores of its
+own training matrix, bit for bit what ``score`` returns on a copy of
+it.  LOF answers from the neighbourhoods it found at fit; the others
+score the matrix again.
 """
 
 from __future__ import annotations
@@ -87,7 +92,9 @@ def _query_loo(tree: cKDTree, Q: np.ndarray, k: int):
     training row) it is skipped, so train and test scoring share one
     code path.
     """
-    dist, idx = tree.query(Q, k=k + 1)
+    # Each query is answered on its own, so spreading them over all cores
+    # returns the same distances and indices.
+    dist, idx = tree.query(Q, k=k + 1, workers=-1)
     dist = np.atleast_2d(dist)
     idx = np.atleast_2d(idx)
     exact = dist[:, :1] == 0.0
@@ -96,10 +103,19 @@ def _query_loo(tree: cKDTree, Q: np.ndarray, k: int):
     return dsel, isel
 
 
-class _KnnDetector:
+class _Detector:
     def __init__(self, spec: DetectorSpec, X: np.ndarray):
         self.spec = spec
         self.dim = X.shape[1]
+        self._X = X
+
+    def train_scores(self) -> np.ndarray:
+        return self.score(self._X)
+
+
+class _KnnDetector(_Detector):
+    def __init__(self, spec: DetectorSpec, X: np.ndarray):
+        super().__init__(spec, X)
         self._tree = cKDTree(X)
 
     def score(self, Q) -> np.ndarray:
@@ -110,16 +126,15 @@ class _KnnDetector:
         return dsel[:, -1].copy()
 
 
-class _LofDetector:
+class _LofDetector(_Detector):
     def __init__(self, spec: DetectorSpec, X: np.ndarray):
-        self.spec = spec
-        self.dim = X.shape[1]
+        super().__init__(spec, X)
         self._tree = cKDTree(X)
-        # Training neighbourhoods exclude the point itself.
-        dist, idx = self._tree.query(X, k=spec.k + 1)
-        ndist, nidx = dist[:, 1:], idx[:, 1:]
+        # Training neighbourhoods exclude the point itself: every row is
+        # at distance 0 from itself, which is what _query_loo drops.
+        ndist, self._nidx = _query_loo(self._tree, X, spec.k)
         self._kdist = ndist[:, -1]
-        reach = np.maximum(self._kdist[nidx], ndist)
+        reach = np.maximum(self._kdist[self._nidx], ndist)
         self._lrd = 1.0 / (reach.mean(axis=1) + 1e-10)
 
     def score(self, Q) -> np.ndarray:
@@ -131,6 +146,11 @@ class _LofDetector:
         lrd_q = 1.0 / (reach.mean(axis=1) + 1e-10)
         return self._lrd[isel].mean(axis=1) / lrd_q
 
+    def train_scores(self) -> np.ndarray:
+        # score() of the training matrix finds the neighbourhoods and
+        # densities computed at fit, so it reduces to their ratio.
+        return self._lrd[self._nidx].mean(axis=1) / self._lrd
+
 
 def _path_norm(m: float) -> float:
     """Expected path length of an unsuccessful search in a BST of m keys."""
@@ -141,69 +161,14 @@ def _path_norm(m: float) -> float:
     return 2.0 * (math.log(m - 1.0) + _EULER_GAMMA) - 2.0 * (m - 1.0) / m
 
 
-_path_norm_vec = np.vectorize(_path_norm, otypes=[float])
+# Largest number of (tree, row) pairs walked at once: bounds the scratch
+# arrays of one scoring step to a few megabytes at any query size.
+_SCORE_BLOCK = 1 << 16
 
 
-class _IsolationTree:
-    __slots__ = ("feature", "threshold", "left", "right", "size")
-
-    def __init__(self, X: np.ndarray, rng: np.random.Generator, max_depth: int):
-        feat, thr, left, right, size = [], [], [], [], []
-
-        def build(rows: np.ndarray, depth: int) -> int:
-            node = len(feat)
-            feat.append(-1)
-            thr.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            size.append(rows.size)
-            if depth >= max_depth or rows.size <= 1:
-                return node
-            sub = X[rows]
-            mins = sub.min(axis=0)
-            maxs = sub.max(axis=0)
-            usable = np.flatnonzero(maxs > mins)
-            if usable.size == 0:
-                return node
-            f = int(usable[rng.integers(usable.size)])
-            split = float(rng.uniform(mins[f], maxs[f]))
-            if split == mins[f]:
-                # uniform() may return its lower edge; keep both children
-                # nonempty by moving the split just above the minimum.
-                split = float(np.nextafter(split, maxs[f]))
-            go_left = sub[:, f] < split
-            feat[node] = f
-            thr[node] = split
-            left[node] = build(rows[go_left], depth + 1)
-            right[node] = build(rows[~go_left], depth + 1)
-            return node
-
-        build(np.arange(X.shape[0]), 0)
-        self.feature = np.asarray(feat, dtype=np.int32)
-        self.threshold = np.asarray(thr, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.size = np.asarray(size, dtype=float)
-
-    def path_lengths(self, Q: np.ndarray) -> np.ndarray:
-        node = np.zeros(Q.shape[0], dtype=np.int32)
-        path = np.zeros(Q.shape[0], dtype=float)
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            nd = node[active]
-            f = self.feature[nd]
-            vals = Q[active, f]
-            nxt = np.where(vals < self.threshold[nd], self.left[nd], self.right[nd])
-            node[active] = nxt
-            path[active] += 1.0
-            active = active[self.feature[nxt] >= 0]
-        return path + _path_norm_vec(self.size[node])
-
-
-class _IForestDetector:
+class _IForestDetector(_Detector):
     def __init__(self, spec: DetectorSpec, X: np.ndarray):
-        self.spec = spec
-        self.dim = X.shape[1]
+        super().__init__(spec, X)
         n = X.shape[0]
         # Canonical row order: scores must not depend on how the caller
         # happened to order the training rows.
@@ -212,27 +177,101 @@ class _IForestDetector:
         sub = min(spec.subsample, n)
         max_depth = int(math.ceil(math.log2(sub))) if sub > 1 else 1
         rng = np.random.default_rng(spec.seed)
-        self._trees = []
+        # All trees share one set of node arrays.  A leaf splits on
+        # feature 0 at +inf and is its own left child, so a walk of
+        # max_depth steps from any root ends on the leaf it reaches.
+        feat, thr, left, right, depths, size = [], [], [], [], [], []
+        roots = []
         for _ in range(spec.n_trees):
             pick = rng.choice(n, size=sub, replace=False)
-            self._trees.append(_IsolationTree(Xs[pick], rng, max_depth))
+            sample = Xs[pick]
+            roots.append(len(feat))
+            # Depth first, left before right: the random draws come in
+            # the order of the node numbers.  A child links itself into
+            # its parent's ``left`` or ``right`` entry.
+            todo = [(np.arange(sub), 0, left, 0)]
+            while todo:
+                rows, depth, link, parent = todo.pop()
+                node = len(feat)
+                if depth:
+                    link[parent] = node
+                feat.append(0)
+                thr.append(math.inf)
+                left.append(node)
+                right.append(node)
+                depths.append(depth)
+                size.append(rows.size)
+                if depth >= max_depth or rows.size <= 1:
+                    continue
+                part = sample[rows]
+                mins = np.minimum.reduce(part)
+                maxs = np.maximum.reduce(part)
+                usable = (maxs > mins).nonzero()[0]
+                if usable.size == 0:
+                    continue
+                f = int(usable[rng.integers(usable.size)])
+                split = float(rng.uniform(mins[f], maxs[f]))
+                if split == mins[f]:
+                    # uniform() may return its lower edge; keep both children
+                    # nonempty by moving the split just above the minimum.
+                    split = float(np.nextafter(split, maxs[f]))
+                go_left = part[:, f] < split
+                feat[node] = f
+                thr[node] = split
+                todo.append((rows[~go_left], depth + 1, right, node))
+                todo.append((rows[go_left], depth + 1, left, node))
+        self._roots = np.asarray(roots, dtype=np.intp)
+        self._max_depth = max_depth
+        self._feature = np.asarray(feat, dtype=np.intp)
+        self._threshold = np.asarray(thr, dtype=float)
+        # children[2 i] is node i's left child, children[2 i + 1] its right.
+        self._children = np.column_stack([left, right]).astype(np.intp).ravel()
+        # A query's path in a tree is its leaf's depth plus the expected
+        # depth of an unsuccessful search among the leaf's m training
+        # rows, m in 0..sub; one float add per leaf, done here.
+        norms = np.asarray([_path_norm(float(m)) for m in range(sub + 1)])
+        self._leaf_path = (np.asarray(depths, dtype=float)
+                           + norms[np.asarray(size, dtype=np.intp)])
         self._norm = _path_norm(float(sub))
 
+    def _paths(self, roots: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """Path length of every query in every tree, shape (trees, rows)."""
+        rows, dim = Q.shape
+        flat = Q.ravel()
+        node = np.repeat(roots, rows)
+        offset = np.tile(np.arange(rows) * dim, roots.size)
+        for _ in range(self._max_depth):
+            cell = self._feature.take(node)
+            cell += offset
+            # vals < threshold goes left, as the split was drawn.
+            go_right = flat.take(cell) >= self._threshold.take(node)
+            node *= 2
+            node += go_right
+            node = self._children.take(node)
+        return self._leaf_path.take(node).reshape(roots.size, rows)
+
     def score(self, Q) -> np.ndarray:
-        Q = _check_matrix(Q, self.dim)
-        if Q.shape[0] == 0:
-            return np.empty(0)
-        total = np.zeros(Q.shape[0], dtype=float)
-        for tree in self._trees:
-            total += tree.path_lengths(Q)
-        mean_path = total / len(self._trees)
+        Q = np.ascontiguousarray(_check_matrix(Q, self.dim))
+        m = Q.shape[0]
+        n_trees = self._roots.size
+        rows_step = max(1, _SCORE_BLOCK // n_trees)
+        trees_step = max(1, _SCORE_BLOCK // rows_step)
+        total = np.zeros(m)
+        for r0 in range(0, m, rows_step):
+            part = total[r0:r0 + rows_step]
+            for t0 in range(0, n_trees, trees_step):
+                # Tree order, one tree at a time: the sum's rounding does
+                # not depend on the block sizes.
+                for path in self._paths(self._roots[t0:t0 + trees_step],
+                                        Q[r0:r0 + rows_step]):
+                    part += path
+        mean_path = total / n_trees
         return np.power(2.0, -mean_path / self._norm)
 
 
-class _HbosDetector:
+class _HbosDetector(_Detector):
     def __init__(self, spec: DetectorSpec, X: np.ndarray):
-        self.spec = spec
-        self.dim = X.shape[1]
+        super().__init__(spec, X)
         n = X.shape[0]
         b = spec.n_bins
         self._edges: list[np.ndarray | None] = []
@@ -279,8 +318,9 @@ _FITTERS = {
 def fit_detector(spec: DetectorSpec, X):
     """Fit a detector on a feature matrix.
 
-    Returns an object with ``spec``, ``dim``, and ``score(Q)``; scores
-    are finite for any finite query.
+    Returns an object with ``spec``, ``dim``, ``score(Q)`` and
+    ``train_scores()``; scores are finite for any finite query.  The
+    detector keeps its own copy of ``X``.
 
     Raises
     ------
@@ -288,7 +328,7 @@ def fit_detector(spec: DetectorSpec, X):
         Fewer than 2 rows, or fewer than ``k + 1`` rows for the
         neighbour-based detectors.
     """
-    arr = _check_matrix(X)
+    arr = _check_matrix(X).copy()
     n = arr.shape[0]
     if n < 2:
         raise InsufficientData(f"need at least 2 training rows, got {n}")

@@ -287,6 +287,44 @@ def to_dict(rejector: FittedRejector, score_column: str | None = None,
     }
 
 
+_DETECTOR_INTS = ("k", "n_trees", "subsample", "n_bins", "seed")
+
+
+def _check_detector_block(block) -> None:
+    """Refuse a ``detector`` block the CLI could not refit from.
+
+    Only shapes and types are checked here; the values themselves are
+    checked when ``DetectorSpec`` and ``fit_detector`` rebuild it.
+    """
+    if block is None:
+        return
+    keys = {"kind", *_DETECTOR_INTS, "feature_names", "train_matrix"}
+    if not isinstance(block, dict) or set(block) != keys:
+        got = sorted(block) if isinstance(block, dict) else type(block).__name__
+        raise ValueError(f"model detector must be an object with keys {sorted(keys)}, "
+                         f"got {got}")
+    if not isinstance(block["kind"], str):
+        raise ValueError("model detector kind must be a string")
+    for key in _DETECTOR_INTS:
+        if not isinstance(block[key], int) or isinstance(block[key], bool):
+            raise ValueError(f"model detector {key} must be an integer")
+    names = block["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
+        raise ValueError("model detector feature_names must be a list of strings")
+    rows = block["train_matrix"]
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) and len(row) == len(names) for row in rows)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                for row in rows for v in row)
+    ):
+        raise ValueError(
+            "model detector train_matrix must be a non-empty list of rows of "
+            f"{len(names)} numbers, one per feature name"
+        )
+
+
 def from_dict(state: dict) -> FittedRejector:
     """Rebuild a rejector from :func:`to_dict` output.
 
@@ -294,14 +332,18 @@ def from_dict(state: dict) -> FittedRejector:
     the whole state it would save must equal the stored one, so a
     corrupted file fails loudly instead of predicting quietly.  Only
     ``score_column`` and ``detector`` are taken on trust: they are
-    copied, not recomputed.
+    copied, not recomputed, after the ``detector`` block's keys and
+    types are checked.
 
     Raises
     ------
     ValueError
-        On an unknown schema version, a missing or mistyped field, or
-        naming the first field that disagrees with its recomputed value.
+        On a state that is not a JSON object, an unknown schema version,
+        a missing or mistyped field, or naming the first field that
+        disagrees with its recomputed value.
     """
+    if not isinstance(state, dict):
+        raise ValueError(f"model must be a JSON object, got {type(state).__name__}")
     if state.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {state.get('schema_version')}")
     try:
@@ -309,6 +351,7 @@ def from_dict(state: dict) -> FittedRejector:
         rej = fit(train, ToleranceSpec(state["t_tolerance"]), delta=state["delta"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model field missing or of the wrong type: {exc}") from None
+    _check_detector_block(state.get("detector"))
     fresh = to_dict(rej, state.get("score_column"), state.get("detector"))
     if fresh != state:
         missing = object()

@@ -130,16 +130,13 @@ def band_cover_check(
     ns: tuple[int, ...] = GRID_NS,
     gammas: tuple[float, ...] = GRID_GAMMAS,
     Ts: tuple[float, ...] = GRID_TS,
-    n_psi: int = 1000,
 ) -> PropertyCheck:
     """Every rejected frequency lies inside [t1, t2]; edges are sharp.
 
     Cover: the rejected frequencies are exactly ``j / n`` for the counts
     ``k_lo <= j < k_hi`` of :func:`rejection_cutoffs`, so the band covers
     all of them iff ``t1 <= k_lo / n`` and ``(k_hi - 1) / n <= t2`` (or
-    nothing is rejected).  That settles every reachable frequency, and
-    ``n_psi`` is ignored: it sized a sampled frequency grid, and is kept
-    so existing callers run unchanged.
+    nothing is rejected).  That settles every reachable frequency.
 
     Sharpness: where an edge is interior (not produced by clipping),
     the stability tail at the edge itself already satisfies its

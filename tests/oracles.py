@@ -212,3 +212,91 @@ def brute_hbos_scores(train: np.ndarray, queries: np.ndarray,
             s += -np.log((counts[b] + 1) / (n + n_bins))
         out.append(float(s))
     return out
+
+
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _reference_path_norm(m: float) -> float:
+    if m <= 1.0:
+        return 0.0
+    if m == 2.0:
+        return 1.0
+    return 2.0 * (math.log(m - 1.0) + _EULER_GAMMA) - 2.0 * (m - 1.0) / m
+
+
+def reference_iforest_scores(train: np.ndarray, queries: np.ndarray,
+                             n_trees: int = 100, subsample: int = 256,
+                             seed: int = 0) -> np.ndarray:
+    """Isolation-forest scores, one tree at a time.
+
+    The per-tree implementation the package's flat forest replaced: the
+    same seeded build (lexicographic row order, subsample, recursive
+    splits), then each tree walks all queries with a growing path and
+    adds the leaf's path norm through ``np.vectorize``; tree paths are
+    summed in tree order.
+    """
+    train = np.asarray(train, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    n = train.shape[0]
+    Xs = train[np.lexsort(train.T[::-1])]
+    sub = min(subsample, n)
+    max_depth = int(math.ceil(math.log2(sub))) if sub > 1 else 1
+    rng = np.random.default_rng(seed)
+    path_norm = np.vectorize(_reference_path_norm, otypes=[float])
+
+    def build_tree(X):
+        feat, thr, left, right, size = [], [], [], [], []
+
+        def build(rows, depth):
+            node = len(feat)
+            feat.append(-1)
+            thr.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            size.append(rows.size)
+            if depth >= max_depth or rows.size <= 1:
+                return node
+            part = X[rows]
+            mins = part.min(axis=0)
+            maxs = part.max(axis=0)
+            usable = np.flatnonzero(maxs > mins)
+            if usable.size == 0:
+                return node
+            f = int(usable[rng.integers(usable.size)])
+            split = float(rng.uniform(mins[f], maxs[f]))
+            if split == mins[f]:
+                split = float(np.nextafter(split, maxs[f]))
+            go_left = part[:, f] < split
+            feat[node] = f
+            thr[node] = split
+            left[node] = build(rows[go_left], depth + 1)
+            right[node] = build(rows[~go_left], depth + 1)
+            return node
+
+        build(np.arange(X.shape[0]), 0)
+        return (np.asarray(feat, dtype=np.int32), np.asarray(thr, dtype=float),
+                np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
+                np.asarray(size, dtype=float))
+
+    trees = []
+    for _ in range(n_trees):
+        pick = rng.choice(n, size=sub, replace=False)
+        trees.append(build_tree(Xs[pick]))
+    norm = _reference_path_norm(float(sub))
+    if queries.shape[0] == 0:
+        return np.empty(0)
+    total = np.zeros(queries.shape[0], dtype=float)
+    for feat, thr, left, right, size in trees:
+        node = np.zeros(queries.shape[0], dtype=np.int32)
+        path = np.zeros(queries.shape[0], dtype=float)
+        active = np.flatnonzero(feat[node] >= 0)
+        while active.size:
+            nd = node[active]
+            vals = queries[active, feat[nd]]
+            nxt = np.where(vals < thr[nd], left[nd], right[nd])
+            node[active] = nxt
+            path[active] += 1.0
+            active = active[feat[nxt] >= 0]
+        total += path + path_norm(size[node])
+    return np.power(2.0, -(total / n_trees) / norm)

@@ -104,7 +104,7 @@ def test_criterion_01_exact_tail_agreement():
 
 
 def test_criterion_02_band_cover_grid():
-    check = band_cover_check(n_psi=1000)
+    check = band_cover_check()
     ok = check.passed and check.elapsed_s < 120.0
     _criterion(2, "rejection band covers all rejected frequencies",
                ok, f"{check.detail}; elapsed {check.elapsed_s:.1f}s < 120s")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from adreject.bench import (
     rank_auc,
     read_csv_table,
     run_benchmark,
+    run_fold,
     run_trial,
     synthetic_suite,
     write_report_files,
@@ -305,6 +308,50 @@ class TestRunTrial:
         ds, spec, costs, tol = self._common()
         with pytest.raises(DomainError):
             run_trial(ds, spec, "magic", costs, tol, split_seed=0, fold=0)
+
+
+class TestRunFold:
+    @staticmethod
+    def _same(a, b):
+        # Every field but the wall-clock column.
+        return all(
+            getattr(a, f.name) == getattr(b, f.name)
+            for f in fields(TrialResult) if f.name != "wall_time_threshold_ms"
+        )
+
+    @pytest.mark.parametrize("kind", ["knn", "iforest"])
+    @pytest.mark.parametrize("preset", ["q1", "case2"])
+    def test_equals_one_trial_per_method(self, kind, preset):
+        ds = _toy_dataset(n=250, gamma=0.1, seed=4)
+        spec = DetectorSpec(kind=kind, k=5, n_trees=20, seed=3)
+        costs = cost_preset(preset, ds.gamma)
+        tol = ToleranceSpec(8.0)
+        for fold in (0, 3):
+            shared = run_fold(ds, spec, costs, tol, split_seed=1, fold=fold)
+            assert [r.method for r in shared] == list(METHODS)
+            for r in shared:
+                alone = run_trial(ds, spec, r.method, costs, tol, split_seed=1, fold=fold)
+                assert self._same(r, alone)
+
+    def test_precomputed_scores_and_method_subset(self):
+        ds = _toy_dataset(n=200, gamma=0.1, seed=6)
+        costs = cost_preset("q1", ds.gamma)
+        tol = ToleranceSpec(8.0)
+        scores = compute_fold_scores(ds, "lof", fold=2, n_folds=5, seed=0)
+        shared = run_fold(ds, None, costs, tol, split_seed=0, fold=2, scores=scores,
+                          detector_name="lof", methods=("oracle", "rejex"))
+        assert [r.method for r in shared] == ["oracle", "rejex"]
+        for r in shared:
+            alone = run_trial(ds, None, r.method, costs, tol, split_seed=0, fold=2,
+                              scores=scores, detector_name="lof")
+            assert self._same(r, alone)
+
+    def test_unknown_method_anywhere(self):
+        ds = _toy_dataset(n=200, gamma=0.1, seed=6)
+        with pytest.raises(DomainError):
+            run_fold(ds, DetectorSpec(kind="hbos"), cost_preset("q1", ds.gamma),
+                     ToleranceSpec(8.0), split_seed=0, fold=0,
+                     methods=("rejex", "magic"))
 
 
 class TestAggregateAndReports:

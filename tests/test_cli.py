@@ -239,6 +239,23 @@ class TestPredict:
         assert proc.returncode == 2
         assert "'band'" in json.loads(proc.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize("payload", [[], "model"], ids=["list", "string"])
+    def test_non_object_model_exit_2(self, tmp_path, train_csv, payload):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        proc = run_cli("predict", "--model", str(model), "--test", str(train_csv))
+        assert proc.returncode == 2, proc.stderr
+        assert "JSON object" in json.loads(proc.stderr)["error"]["message"]
+
+    def test_incomplete_detector_block_exit_2(self, tmp_path, train_csv):
+        model, _ = self._fit(tmp_path, train_csv)
+        state = json.loads(model.read_text())
+        state["detector"] = {"kind": "knn"}
+        model.write_text(json.dumps(state))
+        proc = run_cli("predict", "--model", str(model), "--test", str(train_csv))
+        assert proc.returncode == 2, proc.stderr
+        assert "model detector" in json.loads(proc.stderr)["error"]["message"]
+
     def test_gamma_zero_never_rejects(self, tmp_path, train_csv):
         model = tmp_path / "m0.json"
         proc = run_cli(

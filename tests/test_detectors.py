@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from adreject.core import DimensionMismatch, DomainError, InsufficientData, NonFiniteInput
+import adreject.detectors as detectors
 from adreject.detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
 
-from oracles import brute_hbos_scores, brute_knn_scores
+from oracles import brute_hbos_scores, brute_knn_scores, reference_iforest_scores
 
 
 def _grid(n_side=6):
@@ -165,6 +166,99 @@ class TestIforest:
             rng.normal(size=(50, 2)) * 3
         )
         assert np.all((s > 0.0) & (s < 1.0))
+
+
+class TestIforestKernel:
+    """The flat, blocked forest against the per-tree scorer, bit for bit."""
+
+    @staticmethod
+    def _check(train, queries, **kw):
+        spec = DetectorSpec(kind="iforest", **kw)
+        got = fit_detector(spec, train).score(queries)
+        want = reference_iforest_scores(
+            train, queries, spec.n_trees, spec.subsample, spec.seed
+        )
+        assert got.dtype == np.float64 and got.shape == (queries.shape[0],)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    @pytest.mark.parametrize("rows", ["0", "1", "block-1", "block", "block+1", "20000"])
+    def test_query_sizes_and_dimensions(self, rows, d):
+        # Ten trees: a block holds _SCORE_BLOCK // 10 query rows.
+        block = detectors._SCORE_BLOCK // 10
+        m = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
+             "block+1": block + 1, "20000": 20000}[rows]
+        rng = np.random.default_rng(d)
+        train = rng.normal(size=(300, d))
+        self._check(train, rng.normal(size=(m, d)) * 1.5, n_trees=10, seed=d)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_single_tree_at_the_block_edge(self, extra):
+        rng = np.random.default_rng(5)
+        train = rng.normal(size=(200, 3))
+        queries = rng.normal(size=(detectors._SCORE_BLOCK + extra, 3))
+        self._check(train, queries, n_trees=1, seed=5)
+
+    @pytest.mark.parametrize("n_trees", [1, 6, 7, 20])
+    def test_blocks_split_rows_and_trees(self, monkeypatch, n_trees):
+        # A 7-pair block splits the rows, and with more trees than pairs
+        # the trees as well.
+        monkeypatch.setattr(detectors, "_SCORE_BLOCK", 7)
+        rng = np.random.default_rng(n_trees)
+        train = rng.normal(size=(120, 4))
+        self._check(train, rng.normal(size=(23, 4)), n_trees=n_trees, seed=2)
+
+    def test_default_forest(self):
+        rng = np.random.default_rng(8)
+        train = rng.normal(size=(1000, 8))
+        self._check(train, rng.normal(size=(2000, 8)) * 2.0, seed=8)
+
+    def test_queries_on_the_split_values(self):
+        # A query equal to a split goes right in both scorers.
+        rng = np.random.default_rng(11)
+        train = rng.normal(size=(200, 3))
+        det = fit_detector(DetectorSpec(kind="iforest", n_trees=5, seed=11), train)
+        splits = det._threshold[np.isfinite(det._threshold)]
+        self._check(train, np.repeat(splits[:, None], 3, axis=1), n_trees=5, seed=11)
+
+    def test_subsample_above_row_count(self):
+        rng = np.random.default_rng(9)
+        train = rng.normal(size=(40, 2))
+        self._check(train, rng.normal(size=(50, 2)), subsample=256, seed=9)
+
+    def test_duplicate_rows(self):
+        base = np.random.default_rng(10).integers(0, 3, size=(30, 2)).astype(float)
+        train = np.vstack([base, base, base])
+        self._check(train, np.vstack([train, [[1.5, 1.5], [9.0, -9.0]]]),
+                    n_trees=25, subsample=64, seed=10)
+
+
+class TestTrainScores:
+    @staticmethod
+    def _train_sets():
+        rng = np.random.default_rng(61)
+        grid = _grid(5)
+        return {
+            "normal": rng.normal(size=(400, 5)),
+            "wide": rng.normal(size=(600, 32)),
+            # Every row three times: ties in distance and in neighbours.
+            "tied-grid": np.vstack([grid, grid, grid]),
+        }
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    @pytest.mark.parametrize("data", ["normal", "wide", "tied-grid"])
+    def test_equal_to_scoring_the_training_matrix(self, kind, data):
+        X = self._train_sets()[data]
+        det = fit_detector(DetectorSpec(kind=kind, k=5, n_trees=20), X)
+        got = det.train_scores()
+        assert got.tobytes() == det.score(X.copy()).tobytes()
+
+    def test_detector_keeps_its_own_training_matrix(self):
+        X = np.random.default_rng(62).normal(size=(50, 2))
+        det = fit_detector(DetectorSpec(kind="knn", k=3), X)
+        before = det.train_scores()
+        X[:] = 0.0
+        assert det.train_scores().tobytes() == before.tobytes()
 
 
 class TestHbos:

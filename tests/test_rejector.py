@@ -366,8 +366,49 @@ class TestSerialization:
 
     def test_detector_extras_preserved(self, tmp_path):
         rej = _fit(np.arange(30.0), 0.1)
-        det = {"kind": "knn", "k": 5}
+        det = _detector_block()
         path = tmp_path / "model.json"
         save_model(rej, path, detector=det)
         _, extras = load_model(path)
         assert extras["detector"] == det
+
+    @pytest.mark.parametrize("state", [[], "model", 3, None])
+    def test_non_object_state_rejected(self, state):
+        with pytest.raises(ValueError, match="JSON object"):
+            from_dict(state)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: {"kind": "knn"},
+            lambda d: [d],
+            lambda d: d.update(extra=1),
+            lambda d: d.update(kind=1),
+            lambda d: d.update(k=5.0),
+            lambda d: d.update(seed=True),
+            lambda d: d.update(feature_names="x1"),
+            lambda d: d.update(feature_names=["x1", 2]),
+            lambda d: d.update(train_matrix=[]),
+            lambda d: d.update(train_matrix=[1.0, 2.0]),
+            lambda d: d.update(train_matrix=[[1.0, 2.0], [3.0]]),
+            lambda d: d.update(train_matrix=[[1.0, "2"], [3.0, 4.0]]),
+            lambda d: d.update(train_matrix=[[1.0, None], [3.0, 4.0]]),
+        ],
+        ids=["keys-missing", "not-object", "extra-key", "kind", "k-float",
+             "seed-bool", "names-str", "names-int", "matrix-empty",
+             "matrix-1d", "matrix-ragged", "matrix-str", "matrix-null"],
+    )
+    def test_malformed_detector_block_rejected(self, edit):
+        state = json.loads(json.dumps(to_dict(_fit(np.arange(30.0), 0.1))))
+        det = _detector_block()
+        state["detector"] = edit(det) or det
+        with pytest.raises(ValueError, match="model detector"):
+            from_dict(state)
+
+
+def _detector_block():
+    return {
+        "kind": "knn", "k": 2, "n_trees": 100, "subsample": 256, "n_bins": 10,
+        "seed": 0, "feature_names": ["x1", "x2"],
+        "train_matrix": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]],
+    }
