@@ -183,6 +183,16 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
+def _split_label(header: list[str], data: np.ndarray, label_column: str):
+    """Feature names, feature columns and the label column (``None`` when
+    ``label_column`` is not in ``header``) of a table."""
+    if label_column not in header:
+        return list(header), data, None
+    li = header.index(label_column)
+    keep = [j for j in range(len(header)) if j != li]
+    return [header[j] for j in keep], data[:, keep], data[:, li]
+
+
 def load_csv(
     path,
     label_column: str = "label",
@@ -199,19 +209,11 @@ def load_csv(
     header, data = read_csv_table(path)
     if data.shape[0] == 0:
         raise InsufficientData(f"{path}: no data rows")
-    labels = None
-    if label_column in header:
-        li = header.index(label_column)
-        labels = data[:, li]
-        feat_cols = [j for j in range(len(header)) if j != li]
-    else:
-        feat_cols = list(range(len(header)))
+    names, X, labels = _split_label(header, data, label_column)
     if labels is None and gamma_override is None:
         raise MissingGamma(
             f"{path}: no {label_column!r} column and no explicit gamma"
         )
-    X = data[:, feat_cols]
-    names = tuple(header[j] for j in feat_cols)
     if X.shape[0] > MAX_ROWS:
         rng = np.random.default_rng(subsample_seed)
         keep = np.sort(rng.choice(X.shape[0], size=MAX_ROWS, replace=False))
@@ -224,7 +226,7 @@ def load_csv(
     else:
         gamma = float(labels.mean())
     return Dataset(
-        name=path.stem, X=X, labels=labels, gamma=gamma, feature_names=names
+        name=path.stem, X=X, labels=labels, gamma=gamma, feature_names=tuple(names)
     )
 
 
@@ -708,22 +710,18 @@ def run_benchmark(
             preset, dataset.gamma
         )
         folds = make_folds(dataset.n, n_folds, seed, dataset.name)
-        if scores_only:
-            if dataset.X.shape[1] != 1:
-                raise DomainError(
-                    f"dataset {dataset.name}: scores-only mode needs exactly one "
-                    f"score column, found {dataset.X.shape[1]}"
-                )
+        if scores_only and dataset.X.shape[1] != 1:
+            raise DomainError(
+                f"dataset {dataset.name}: scores-only mode needs exactly one "
+                f"score column, found {dataset.X.shape[1]}"
+            )
+        # ``None`` stands for the dataset's own score column.
+        for kind in (None,) if scores_only else detector_kinds:
             for fold, (train_idx, test_idx) in enumerate(folds):
-                shared = (dataset.X[train_idx, 0], dataset.X[test_idx, 0])
-                results += run_fold(
-                    dataset, None, costs, tol, seed, fold, n_folds=n_folds,
-                    delta=delta, scores=shared, methods=methods,
-                )
-            continue
-        for kind in detector_kinds:
-            for fold in range(len(folds)):
-                shared = compute_fold_scores(dataset, kind, fold, n_folds, seed)
+                if kind is None:
+                    shared = (dataset.X[train_idx, 0], dataset.X[test_idx, 0])
+                else:
+                    shared = compute_fold_scores(dataset, kind, fold, n_folds, seed)
                 results += run_fold(
                     dataset, None, costs, tol, seed, fold, n_folds=n_folds,
                     delta=delta, scores=shared, detector_name=kind,

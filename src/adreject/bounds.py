@@ -153,15 +153,16 @@ def rejection_rate_estimate(train: ScoreSet, tol: ToleranceSpec) -> RateEstimate
     ``j_i = |{s <= s_i}|`` lies below ``k_lo`` (confident normals),
     ``B`` the fraction below ``k_hi``, and ``r_hat = B - A``, which is
     exactly the fraction of training scores :func:`adreject.rejector.fit`
-    rejects in sample.  Works for every ``T`` the tolerance accepts up to
-    the ``1e-250`` floor of the tail routine (``T`` about 575).
+    rejects in sample.  ``fit`` counts the same cutoffs in its table
+    instead of searching; this is the standalone label-free step.  Works
+    for every ``T`` the tolerance accepts up to the ``1e-250`` floor of
+    the tail routine (``T`` about 575).
 
     Raises
     ------
     DegenerateStabilityMap
-        If ``floor(n * gamma) == 0``; callers that want a usable
-        rejector in that regime should catch this and report a zero
-        estimate (nothing is ever rejected there).
+        If ``floor(n * gamma) == 0``: nothing is ever rejected there, and
+        ``fit`` reports the estimate ``(1, 1)``.
     """
     k_lo, k_hi = rejection_cutoffs(train.n, train.gamma, tol)
     return RateEstimate(

@@ -11,12 +11,14 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bench import (
     COST_PRESETS,
+    _split_label,
     aggregate,
     load_csv,
     read_csv_table,
@@ -26,7 +28,7 @@ from .bench import (
 )
 from .core import AdrejectError, CostSpec, DomainError, ScoreSet, ToleranceSpec
 from .detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
-from .rejector import fit, load_model, predict_batch, save_model, to_dict
+from .rejector import fit, load_model, predict_batch, save_model
 
 __all__ = ["build_parser", "main", "console_entry"]
 
@@ -39,12 +41,6 @@ def _error_object(kind: str, message: str) -> int:
         file=sys.stderr,
     )
     return 2
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,17 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_columns(header: list[str], data: np.ndarray, label_column: str):
-    if label_column in header:
-        li = header.index(label_column)
-        keep = [j for j in range(len(header)) if j != li]
-        return [header[j] for j in keep], data[:, keep]
-    return list(header), data
-
-
 def cmd_fit(args) -> int:
     header, data = read_csv_table(args.train)
-    names, X = _split_columns(header, data, args.label_column)
+    names, X, _ = _split_label(header, data, args.label_column)
     tol = ToleranceSpec(args.t_tolerance)
     detector_state = None
     score_column = None
@@ -150,16 +138,8 @@ def cmd_fit(args) -> int:
         spec = DetectorSpec(kind=args.detector, seed=args.seed)
         det = fit_detector(spec, X)
         scores = det.train_scores()
-        detector_state = {
-            "kind": spec.kind,
-            "k": spec.k,
-            "n_trees": spec.n_trees,
-            "subsample": spec.subsample,
-            "n_bins": spec.n_bins,
-            "seed": spec.seed,
-            "feature_names": names,
-            "train_matrix": [[float(v) for v in row] for row in X],
-        }
+        detector_state = {**asdict(spec), "feature_names": names,
+                          "train_matrix": X.tolist()}
     else:
         if args.score_column is not None:
             if args.score_column not in names:
@@ -178,9 +158,8 @@ def cmd_fit(args) -> int:
         scores = X[:, names.index(score_column)]
     train = ScoreSet(scores, args.gamma)
     rejector = fit(train, tol, delta=args.delta)
-    save_model(rejector, args.model_out, score_column=score_column,
-               detector=detector_state)
-    state = to_dict(rejector)
+    state = save_model(rejector, args.model_out, score_column=score_column,
+                       detector=detector_state)
     summary = {
         "schema_version": state["schema_version"],
         "lambda": state["lambda"],
@@ -196,7 +175,7 @@ def cmd_fit(args) -> int:
         "degenerate": rejector.degenerate,
         "model": str(args.model_out),
     }
-    print(json.dumps(summary, indent=1, default=_json_default))
+    print(json.dumps(summary, indent=1))
     return 0
 
 
@@ -209,14 +188,7 @@ def _scores_from_model(state: dict, header: list[str], data: np.ndarray, test_pa
                 f"{test_path} is missing model feature columns {missing}"
             )
         cols = [header.index(c) for c in detector_state["feature_names"]]
-        spec = DetectorSpec(
-            kind=detector_state["kind"],
-            k=detector_state["k"],
-            n_trees=detector_state["n_trees"],
-            subsample=detector_state["subsample"],
-            n_bins=detector_state["n_bins"],
-            seed=detector_state["seed"],
-        )
+        spec = DetectorSpec(**{f.name: detector_state[f.name] for f in fields(DetectorSpec)})
         det = fit_detector(spec, np.asarray(detector_state["train_matrix"], dtype=float))
         if data.shape[0] == 0:
             return np.empty(0)
@@ -234,24 +206,16 @@ def cmd_predict(args) -> int:
     rejector, state = load_model(args.model)
     header, data = read_csv_table(args.test)
     scores = _scores_from_model(state, header, data, args.test)
-    rows = []
-    if scores.size:
-        batch = predict_batch(rejector, scores)
-        for i, decision in enumerate(batch.decisions):
-            rows.append(
-                [
-                    repr(float(scores[i])),
-                    repr(float(batch.psi_n[i])),
-                    repr(float(batch.p_anomaly[i])),
-                    repr(float(batch.confidence[i])),
-                    str(decision),
-                ]
-            )
+    batch = predict_batch(rejector, scores)
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fh)
         writer.writerow(_PREDICT_COLUMNS)
-        writer.writerows(rows)
+        # csv writes a float as its repr, so a value reads back bit for bit.
+        writer.writerows(zip(
+            scores.tolist(), batch.psi_n.tolist(), batch.p_anomaly.tolist(),
+            batch.confidence.tolist(), map(str, batch.decisions),
+        ))
     finally:
         if args.out:
             out_fh.close()

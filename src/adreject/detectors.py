@@ -324,12 +324,16 @@ def fit_detector(spec: DetectorSpec, X):
 
     Raises
     ------
+    DomainError
+        A matrix with no feature columns.
     InsufficientData
         Fewer than 2 rows, or fewer than ``k + 1`` rows for the
         neighbour-based detectors.
     """
     arr = _check_matrix(X).copy()
-    n = arr.shape[0]
+    n, d = arr.shape
+    if d == 0:
+        raise DomainError("features must have at least one column, got 0")
     if n < 2:
         raise InsufficientData(f"need at least 2 training rows, got {n}")
     if spec.kind in ("knn", "lof") and n < spec.k + 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,20 +23,22 @@ import numpy as np
 from .bounds import (
     RateEstimate,
     RejectionBandSpec,
+    _count_below,
     rejection_band,
-    rejection_rate_estimate,
+    rejection_rate_estimate,  # noqa: F401 -- perfbench/spans.py times calls through this name
 )
 from .core import (
     CostSpec,
     Decision,
-    DegenerateStabilityMap,
     LabelLengthMismatch,
     NonBinaryLabels,
     NonFiniteInput,
     ScoreSet,
     ToleranceSpec,
+    anomaly_count,
     anomaly_rank,
 )
+from .detectors import DetectorSpec
 from .stability import (
     confidence as _confidence,
     stability_tails,
@@ -146,22 +148,19 @@ def fit(train: ScoreSet, tol: ToleranceSpec, delta: float = 0.05) -> FittedRejec
     upper.setflags(write=False)
     edge = tol.band_edge
     # The upper tail rises and the lower falls with j, so each cutoff is
-    # a count of table entries; degenerate tables (0 and 1) give n + 1.
+    # a count of table entries; degenerate tables (0 and 1) give n + 1,
+    # and so the estimate (1, 1).
     k_lo = int(np.count_nonzero(upper < edge))
     k_hi = int(np.count_nonzero(lower >= edge))
-    try:
-        estimate = rejection_rate_estimate(train, tol)
-        degenerate = False
-    except DegenerateStabilityMap:
-        estimate = RateEstimate(below_band=1.0, up_to_band=1.0)
-        degenerate = True
     return FittedRejector(
         train=train,
         tol=tol,
         threshold=decision_threshold(train),
         band=band,
-        estimate=estimate,
-        degenerate=degenerate,
+        estimate=RateEstimate(
+            below_band=_count_below(train, k_lo), up_to_band=_count_below(train, k_hi)
+        ),
+        degenerate=anomaly_count(n, train.gamma) == 0,
         p_table=upper,
         k_lo=k_lo,
         k_hi=k_hi,
@@ -251,18 +250,6 @@ def oracle_sweep(
     return best_theta, best_cost
 
 
-def _band_to_dict(band: RejectionBandSpec) -> dict:
-    return {
-        "n": band.n,
-        "gamma": band.gamma,
-        "T": band.T,
-        "delta": band.delta,
-        "t1": band.t1,
-        "t2": band.t2,
-        "h": band.h,
-    }
-
-
 def to_dict(rejector: FittedRejector, score_column: str | None = None,
             detector: dict | None = None) -> dict:
     """Serializable model state; ``lambda`` is ``None`` when infinite."""
@@ -275,7 +262,7 @@ def to_dict(rejector: FittedRejector, score_column: str | None = None,
         "delta": rejector.band.delta,
         "lambda": None if math.isinf(thr) else thr,
         "scores_sorted": [float(s) for s in rejector.train.sorted_scores],
-        "band": _band_to_dict(rejector.band),
+        "band": asdict(rejector.band),
         "estimate": {
             "below_band": rejector.estimate.below_band,
             "up_to_band": rejector.estimate.up_to_band,
@@ -287,26 +274,26 @@ def to_dict(rejector: FittedRejector, score_column: str | None = None,
     }
 
 
-_DETECTOR_INTS = ("k", "n_trees", "subsample", "n_bins", "seed")
-
-
 def _check_detector_block(block) -> None:
     """Refuse a ``detector`` block the CLI could not refit from.
 
-    Only shapes and types are checked here; the values themselves are
-    checked when ``DetectorSpec`` and ``fit_detector`` rebuild it.
+    The block holds :class:`DetectorSpec`'s fields plus
+    ``feature_names`` and ``train_matrix``.  Only shapes and types are
+    checked here; the values themselves are checked when
+    ``DetectorSpec`` and ``fit_detector`` rebuild it.
     """
     if block is None:
         return
-    keys = {"kind", *_DETECTOR_INTS, "feature_names", "train_matrix"}
+    spec_keys = [f.name for f in fields(DetectorSpec)]
+    keys = {*spec_keys, "feature_names", "train_matrix"}
     if not isinstance(block, dict) or set(block) != keys:
         got = sorted(block) if isinstance(block, dict) else type(block).__name__
         raise ValueError(f"model detector must be an object with keys {sorted(keys)}, "
                          f"got {got}")
     if not isinstance(block["kind"], str):
         raise ValueError("model detector kind must be a string")
-    for key in _DETECTOR_INTS:
-        if not isinstance(block[key], int) or isinstance(block[key], bool):
+    for key in spec_keys:
+        if key != "kind" and type(block[key]) is not int:
             raise ValueError(f"model detector {key} must be an integer")
     names = block["feature_names"]
     if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
@@ -325,12 +312,22 @@ def _check_detector_block(block) -> None:
         )
 
 
+def _json_fields(state: dict) -> dict:
+    """Each field's JSON text, so that a stored value must also have the
+    JSON type :func:`to_dict` writes: ``true`` is not ``1``, nor ``32``
+    ``32.0``.  ``detector`` is copied on load, not recomputed, so only
+    its presence counts."""
+    return {k: None if k == "detector" else json.dumps(v, sort_keys=True)
+            for k, v in state.items()}
+
+
 def from_dict(state: dict) -> FittedRejector:
     """Rebuild a rejector from :func:`to_dict` output.
 
     The rejector is refitted from the stored scores and parameters, and
-    the whole state it would save must equal the stored one, so a
-    corrupted file fails loudly instead of predicting quietly.  Only
+    the whole state it would save must equal the stored one, value and
+    JSON type, so a corrupted file fails loudly instead of predicting
+    quietly.  Only
     ``score_column`` and ``detector`` are taken on trust: they are
     copied, not recomputed, after the ``detector`` block's keys and
     types are checked.
@@ -344,8 +341,9 @@ def from_dict(state: dict) -> FittedRejector:
     """
     if not isinstance(state, dict):
         raise ValueError(f"model must be a JSON object, got {type(state).__name__}")
-    if state.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {state.get('schema_version')}")
+    version = json.dumps(state.get("schema_version"))
+    if version != json.dumps(SCHEMA_VERSION):
+        raise ValueError(f"unsupported schema_version {version}")
     try:
         train = ScoreSet(np.asarray(state["scores_sorted"], dtype=float), state["gamma"])
         rej = fit(train, ToleranceSpec(state["t_tolerance"]), delta=state["delta"])
@@ -353,10 +351,11 @@ def from_dict(state: dict) -> FittedRejector:
         raise ValueError(f"model field missing or of the wrong type: {exc}") from None
     _check_detector_block(state.get("detector"))
     fresh = to_dict(rej, state.get("score_column"), state.get("detector"))
-    if fresh != state:
+    want, got = _json_fields(fresh), _json_fields(state)
+    if got != want:
         missing = object()
         key = next(k for k in [*fresh, *state]
-                   if fresh.get(k, missing) != state.get(k, missing))
+                   if want.get(k, missing) != got.get(k, missing))
         name = "threshold (lambda)" if key == "lambda" else repr(key)
         raise ValueError(
             f"stored {name} disagrees with the value recomputed from the "
@@ -366,10 +365,11 @@ def from_dict(state: dict) -> FittedRejector:
 
 
 def save_model(rejector: FittedRejector, path, score_column: str | None = None,
-               detector: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(to_dict(rejector, score_column, detector), indent=1) + "\n"
-    )
+               detector: dict | None = None) -> dict:
+    """Write the model file; returns the state it wrote."""
+    state = to_dict(rejector, score_column, detector)
+    Path(path).write_text(json.dumps(state, indent=1) + "\n")
+    return state
 
 
 def load_model(path) -> tuple[FittedRejector, dict]:

@@ -19,11 +19,10 @@ from conftest import ACCEPTANCE_LINES
 
 from adreject.bench import (
     COST_PRESETS,
-    METHODS,
     aggregate,
     compute_fold_scores,
     cost_preset,
-    run_trial,
+    run_fold,
     synthetic_suite,
 )
 from adreject.core import ToleranceSpec
@@ -56,8 +55,8 @@ def bench_reports():
     """Full synthetic benchmark: 9 datasets x 4 detectors x 5 folds.
 
     Detector fits are computed once and shared across the four cost
-    presets and three methods, exactly as ``run_benchmark`` would do
-    per preset.
+    presets; each fold fits one rejector for all three methods, exactly
+    as ``run_benchmark`` does per preset.
     """
     t0 = time.perf_counter()
     suite = synthetic_suite(seed=BENCH_SEED)
@@ -76,21 +75,17 @@ def bench_reports():
             costs = cost_preset(preset, ds.gamma)
             for kind in DETECTOR_KINDS:
                 for fold in range(N_FOLDS):
-                    for method in METHODS:
-                        results.append(
-                            run_trial(
-                                ds,
-                                None,
-                                method,
-                                costs,
-                                tol,
-                                BENCH_SEED,
-                                fold,
-                                n_folds=N_FOLDS,
-                                scores=cache[(ds.name, kind, fold)],
-                                detector_name=kind,
-                            )
-                        )
+                    results += run_fold(
+                        ds,
+                        None,
+                        costs,
+                        tol,
+                        BENCH_SEED,
+                        fold,
+                        n_folds=N_FOLDS,
+                        scores=cache[(ds.name, kind, fold)],
+                        detector_name=kind,
+                    )
         reports[preset] = aggregate(results)
     elapsed = time.perf_counter() - t0
     return reports, elapsed

@@ -239,6 +239,17 @@ class TestPredict:
         assert proc.returncode == 2
         assert "'band'" in json.loads(proc.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize("field,value", [("schema_version", True), ("t_tolerance", 8)])
+    def test_mistyped_field_exit_2(self, tmp_path, train_csv, field, value):
+        # Equal under Python ``==`` to what fit wrote, but not the same JSON.
+        model, _ = self._fit(tmp_path, train_csv)
+        state = json.loads(model.read_text())
+        state[field] = value
+        model.write_text(json.dumps(state))
+        proc = run_cli("predict", "--model", str(model), "--test", str(train_csv))
+        assert proc.returncode == 2, proc.stderr
+        assert field in json.loads(proc.stderr)["error"]["message"]
+
     @pytest.mark.parametrize("payload", [[], "model"], ids=["list", "string"])
     def test_non_object_model_exit_2(self, tmp_path, train_csv, payload):
         model = tmp_path / "model.json"
@@ -315,6 +326,17 @@ class TestFeatureMode:
         rows = out.stdout.splitlines()[1:]
         assert rows[0].endswith("normal")
         assert rows[1].endswith(("anomaly", "reject"))
+
+
+    def test_label_column_only_exit_2(self, tmp_path):
+        train = tmp_path / "labels.csv"
+        train.write_text("label\n" + "0\n" * 30 + "1\n" * 3)
+        proc = run_cli("fit", "--train", str(train), "--gamma", "0.1",
+                       "--detector", "knn", "--model-out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "DomainError"
+        assert "at least one column" in error["message"]
 
 
 class TestVerify:

@@ -62,6 +62,11 @@ class TestMatrixValidation:
         with pytest.raises(InsufficientData):
             fit_detector(DetectorSpec(kind=kind), [[1.0]])
 
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_no_feature_columns(self, kind):
+        with pytest.raises(DomainError, match="at least one column"):
+            fit_detector(DetectorSpec(kind=kind, k=2), np.empty((20, 0)))
+
     def test_knn_needs_k_plus_one_rows(self):
         with pytest.raises(InsufficientData):
             fit_detector(DetectorSpec(kind="knn", k=3), [[0.0], [1.0], [2.0]])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adreject.bounds import rejection_rate_estimate
 from adreject.core import (
     CostSpec,
     Decision,
@@ -12,6 +13,7 @@ from adreject.core import (
     NonBinaryLabels,
     ScoreSet,
     ToleranceSpec,
+    anomaly_count,
 )
 from adreject.rejector import (
     SCHEMA_VERSION,
@@ -27,6 +29,7 @@ from adreject.rejector import (
 )
 from adreject.stability import (
     confidence,
+    rejection_cutoffs,
     stability_tails,
     training_frequency,
 )
@@ -142,6 +145,23 @@ class TestCountTable:
         assert rej.p_table.shape == (51,)
         assert not rej.p_table.flags.writeable
         assert 0 <= rej.k_lo <= rej.k_hi <= 51
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 99, 100, 101, 1000, 5000, 20000])
+    def test_cutoffs_equal_rejection_cutoffs(self, n):
+        # fit counts its table; rejection_cutoffs searches the same tails.
+        scores = np.random.default_rng(n).normal(size=n)
+        for gamma in (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.49):
+            train = ScoreSet(scores, gamma)
+            for T in (4.0, 5.5, 8.0, 16.0, 32.0, 38.5, 64.0, 128.0, 256.0, 575.0):
+                tol = ToleranceSpec(T)
+                rej = fit(train, tol)
+                got = (rej.k_lo, rej.k_hi)
+                if anomaly_count(n, gamma) == 0:
+                    assert rej.degenerate and got == (n + 1, n + 1)
+                    continue
+                assert not rej.degenerate
+                assert got == rejection_cutoffs(n, gamma, tol), (n, gamma, T)
+                assert rej.estimate == rejection_rate_estimate(train, tol)
 
     def test_degenerate_cutoffs_reject_nothing(self):
         rej = _fit(np.arange(9.0), 0.1)  # floor(9 * 0.1) == 0
@@ -363,6 +383,29 @@ class TestSerialization:
             state[field] = value
         with pytest.raises(ValueError, match="missing or of the wrong type"):
             from_dict(state)
+
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("schema_version", lambda s: s.update(schema_version=True)),
+            ("schema_version", lambda s: s.update(schema_version=1.0)),
+            ("degenerate", lambda s: s.update(degenerate=0)),
+            ("t_tolerance", lambda s: s.update(t_tolerance=8)),
+            ("band", lambda s: s["band"].update(n=20.0)),
+        ],
+        ids=["schema-true", "schema-float", "degenerate-0", "T-int", "band.n-float"],
+    )
+    def test_json_type_must_match(self, field, edit):
+        # Each edit keeps the value equal under Python ``==``.
+        state = json.loads(json.dumps(to_dict(_fit(np.arange(20.0), 0.2))))
+        edit(state)
+        with pytest.raises(ValueError, match=field):
+            from_dict(state)
+
+    def test_key_order_inside_a_block_is_free(self):
+        state = json.loads(json.dumps(to_dict(_fit(np.arange(20.0), 0.2))))
+        state["band"] = dict(reversed(state["band"].items()))
+        from_dict(state)
 
     def test_detector_extras_preserved(self, tmp_path):
         rej = _fit(np.arange(30.0), 0.1)

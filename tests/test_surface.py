@@ -4,6 +4,7 @@ benchmark's tracer wraps, and the demos that show the package in use."""
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,20 @@ def test_every_traced_binding_resolves():
         if not callable(getattr(importlib.import_module(mod_name), name, None))
     ]
     assert missing == []
+
+
+def test_every_benchmark_only_import_is_traced():
+    # An import kept only for the tracer must name a binding it wraps, so
+    # the names that wait on a benchmark change are listed in WRAPS alone.
+    marker = re.compile(r"^\s*(\w+),\s*# noqa: F401 -- perfbench/spans\.py")
+    wraps = _load_spans().WRAPS
+    kept = [
+        (f"adreject.{path.stem}", m.group(1))
+        for path in sorted((ROOT / "src" / "adreject").glob("*.py"))
+        for m in map(marker.match, path.read_text().splitlines())
+        if m
+    ]
+    assert [(mod, name) for mod, name in kept if name not in wraps.get(mod, ())] == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
