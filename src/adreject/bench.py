@@ -350,19 +350,47 @@ def make_folds(
     return folds
 
 
-def compute_fold_scores(
-    dataset: Dataset, kind: str, fold: int, n_folds: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fit one detector on a training fold; return (train, test) scores.
+def _score_fold(
+    specs: list[DetectorSpec], X: np.ndarray, Q: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each spec's (train, test) scores, bit for bit what
+    ``fit_detector(spec, X)`` returns from ``train_scores()`` and
+    ``score(Q)``.
 
+    A kNN spec whose ``k`` equals a LOF spec's is answered by that LOF,
+    so the two share one kd-tree and one neighbour query per matrix.
+    """
+    shared = ({s.k for s in specs if s.kind == "knn"}
+              & {s.k for s in specs if s.kind == "lof"})
+    scores, knn = {}, {}
+    for spec in specs:
+        if spec.kind == "knn" and spec.k in shared:
+            continue
+        det = fit_detector(spec, X)
+        if spec.kind == "lof" and spec.k in shared:
+            both = det.neighbour_scores(Q)
+            scores[spec], knn[spec.k] = both["lof"], both["knn"]
+        else:
+            scores[spec] = det.train_scores(), det.score(Q)
+    return [knn[s.k] if s.kind == "knn" and s.k in shared else scores[s]
+            for s in specs]
+
+
+def compute_fold_scores(
+    dataset: Dataset, kinds: tuple[str, ...], fold: int, n_folds: int, seed: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Fit each detector kind on a training fold; return
+    ``{kind: (train, test)}`` scores.
+
+    kNN and LOF share one kd-tree and one neighbour query per matrix.
     Seeding matches :func:`run_benchmark`, so callers can precompute a
     score cache and replay trials for several cost presets without
     refitting detectors or changing any output.
     """
     train_idx, test_idx = make_folds(dataset.n, n_folds, seed, dataset.name)[fold]
-    spec = DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold))
-    det = fit_detector(spec, dataset.X[train_idx])
-    return det.train_scores(), det.score(dataset.X[test_idx])
+    specs = [DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold))
+             for kind in kinds]
+    return dict(zip(kinds, _score_fold(specs, dataset.X[train_idx], dataset.X[test_idx])))
 
 
 @dataclass(frozen=True)
@@ -423,9 +451,9 @@ def run_fold(
     if scores is None:
         if detector_spec is None:
             raise DomainError("a trial needs a detector spec or precomputed scores")
-        det = fit_detector(detector_spec, dataset.X[train_idx])
-        s_train = det.train_scores()
-        s_test = det.score(dataset.X[test_idx])
+        [(s_train, s_test)] = _score_fold(
+            [detector_spec], dataset.X[train_idx], dataset.X[test_idx]
+        )
     else:
         s_train, s_test = scores
     if detector_name is None:
@@ -697,8 +725,9 @@ def run_benchmark(
     custom_costs: CostSpec | None = None,
     scores_only: bool = False,
 ) -> list[TrialResult]:
-    """Run the full trial grid: one detector and one rejector fit per
-    fold, shared by all methods.
+    """Run the full trial grid: each fold's detectors scored at once
+    (:func:`compute_fold_scores`), then one rejector fit per fold and
+    detector, shared by all methods.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
@@ -715,16 +744,21 @@ def run_benchmark(
                 f"dataset {dataset.name}: scores-only mode needs exactly one "
                 f"score column, found {dataset.X.shape[1]}"
             )
-        # ``None`` stands for the dataset's own score column.
-        for kind in (None,) if scores_only else detector_kinds:
-            for fold, (train_idx, test_idx) in enumerate(folds):
-                if kind is None:
-                    shared = (dataset.X[train_idx, 0], dataset.X[test_idx, 0])
-                else:
-                    shared = compute_fold_scores(dataset, kind, fold, n_folds, seed)
+        if scores_only:
+            # ``None`` stands for the dataset's own score column.
+            kinds = (None,)
+            fold_scores = [{None: (dataset.X[train_idx, 0], dataset.X[test_idx, 0])}
+                           for train_idx, test_idx in folds]
+        else:
+            kinds = detector_kinds
+            fold_scores = [compute_fold_scores(dataset, kinds, fold, n_folds, seed)
+                           for fold in range(n_folds)]
+        # Kind-major: the report's float means are summed in result order.
+        for kind in kinds:
+            for fold, scores in enumerate(fold_scores):
                 results += run_fold(
                     dataset, None, costs, tol, seed, fold, n_folds=n_folds,
-                    delta=delta, scores=shared, detector_name=kind,
+                    delta=delta, scores=scores[kind], detector_name=kind,
                     methods=methods,
                 )
     return results

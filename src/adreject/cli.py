@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the stability/band/bound property checks"
     )
     p_ver.add_argument("--trials", type=int, default=200,
-                       help="Monte-Carlo trials for the bound checks")
+                       help="Monte-Carlo trials for the bound checks, at least 1 "
+                       "(--quick fixes them at 20 and 12)")
     p_ver.add_argument("--delta", type=float, default=0.05,
                        help="failure probability for the rate bound")
     p_ver.add_argument("--t-min", type=float, default=4.0,
@@ -230,6 +231,8 @@ def cmd_verify(args) -> int:
             "DomainError",
             f"T must be >= 4 in the verification grid, got --t-min {args.t_min}",
         )
+    if args.trials < 1:
+        return _error_object("DomainError", f"--trials must be >= 1, got {args.trials}")
     checks = default_verification(
         trials=args.trials, delta=args.delta, quick=args.quick,
         seed=args.seed, t_min=args.t_min,
@@ -264,6 +267,8 @@ def cmd_bench(args) -> int:
                 f"unknown detector {kind!r}, expected among {DETECTOR_KINDS}"
             )
     preset, custom = _parse_costs(args.costs)
+    if args.folds < 2:
+        raise DomainError(f"--folds must be >= 2, got {args.folds}")
     if args.synthetic:
         datasets = synthetic_suite(args.seed)
     else:

@@ -18,7 +18,9 @@ invariant to training row order.
 Every fitted detector also has ``train_scores()``: the scores of its
 own training matrix, bit for bit what ``score`` returns on a copy of
 it.  LOF answers from the neighbourhoods it found at fit; the others
-score the matrix again.
+score the matrix again.  LOF is kNN plus densities, so a fitted LOF
+also gives the scores of kNN with the same ``k`` (``neighbour_scores``)
+from the one kd-tree and neighbour query they would both make.
 """
 
 from __future__ import annotations
@@ -118,18 +120,19 @@ class _KnnDetector(_Detector):
         super().__init__(spec, X)
         self._tree = cKDTree(X)
 
+    def _neighbours(self, Q):
+        return _query_loo(self._tree, _check_matrix(Q, self.dim), self.spec.k)
+
     def score(self, Q) -> np.ndarray:
-        Q = _check_matrix(Q, self.dim)
-        if Q.shape[0] == 0:
-            return np.empty(0)
-        dsel, _ = _query_loo(self._tree, Q, self.spec.k)
+        dsel, _ = self._neighbours(Q)
         return dsel[:, -1].copy()
 
 
-class _LofDetector(_Detector):
+class _LofDetector(_KnnDetector):
+    """kNN plus densities: a row's kNN score is its LOF k-distance."""
+
     def __init__(self, spec: DetectorSpec, X: np.ndarray):
         super().__init__(spec, X)
-        self._tree = cKDTree(X)
         # Training neighbourhoods exclude the point itself: every row is
         # at distance 0 from itself, which is what _query_loo drops.
         ndist, self._nidx = _query_loo(self._tree, X, spec.k)
@@ -137,19 +140,33 @@ class _LofDetector(_Detector):
         reach = np.maximum(self._kdist[self._nidx], ndist)
         self._lrd = 1.0 / (reach.mean(axis=1) + 1e-10)
 
-    def score(self, Q) -> np.ndarray:
-        Q = _check_matrix(Q, self.dim)
-        if Q.shape[0] == 0:
-            return np.empty(0)
-        dsel, isel = _query_loo(self._tree, Q, self.spec.k)
+    def _lof(self, dsel: np.ndarray, isel: np.ndarray) -> np.ndarray:
         reach = np.maximum(self._kdist[isel], dsel)
         lrd_q = 1.0 / (reach.mean(axis=1) + 1e-10)
         return self._lrd[isel].mean(axis=1) / lrd_q
+
+    def score(self, Q) -> np.ndarray:
+        return self._lof(*self._neighbours(Q))
 
     def train_scores(self) -> np.ndarray:
         # score() of the training matrix finds the neighbourhoods and
         # densities computed at fit, so it reduces to their ratio.
         return self._lrd[self._nidx].mean(axis=1) / self._lrd
+
+    def neighbour_scores(self, Q) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """``{"lof": (train, test), "knn": (train, test)}`` from this fit
+        and one neighbour query of ``Q``.
+
+        The kNN pair is bit for bit what a kNN detector with this ``k``,
+        fitted on the same matrix, returns from ``train_scores()`` and
+        ``score(Q)``: the same tree answers the same queries, and a kNN
+        score is the k-distance LOF already holds.
+        """
+        dsel, isel = self._neighbours(Q)
+        return {
+            "lof": (self.train_scores(), self._lof(dsel, isel)),
+            "knn": (self._kdist.copy(), dsel[:, -1].copy()),
+        }
 
 
 def _path_norm(m: float) -> float:

@@ -452,8 +452,11 @@ def default_verification(
     """The property suite behind ``adreject verify``.
 
     ``t_min`` drops grid T values below it (it must itself be >= 4;
-    the CLI refuses smaller values before getting here).
+    the CLI refuses smaller values before getting here).  ``trials``
+    must be >= 1; ``quick`` fixes the trial counts instead.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     if not 4.0 <= t_min <= max(GRID_TS):
         raise DomainError(
             f"t_min must lie in [4, {max(GRID_TS)}], got {t_min}"

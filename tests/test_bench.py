@@ -272,7 +272,8 @@ class TestRunTrial:
         # Mirror the DetectorSpec that compute_fold_scores builds internally.
         spec = DetectorSpec(kind="knn", seed=detector_seed(0, ds.name, "knn", 1))
         direct = run_trial(ds, spec, "rejex", costs, tol, split_seed=0, fold=1)
-        scores = compute_fold_scores(ds, "knn", fold=1, n_folds=5, seed=0)
+        # kNN answered from LOF's neighbour query, as run_benchmark does.
+        scores = compute_fold_scores(ds, ("knn", "lof"), fold=1, n_folds=5, seed=0)["knn"]
         cached = run_trial(
             ds,
             None,
@@ -337,7 +338,7 @@ class TestRunFold:
         ds = _toy_dataset(n=200, gamma=0.1, seed=6)
         costs = cost_preset("q1", ds.gamma)
         tol = ToleranceSpec(8.0)
-        scores = compute_fold_scores(ds, "lof", fold=2, n_folds=5, seed=0)
+        scores = compute_fold_scores(ds, ("lof",), fold=2, n_folds=5, seed=0)["lof"]
         shared = run_fold(ds, None, costs, tol, split_seed=0, fold=2, scores=scores,
                           detector_name="lof", methods=("oracle", "rejex"))
         assert [r.method for r in shared] == ["oracle", "rejex"]

@@ -352,6 +352,13 @@ class TestVerify:
         assert proc.returncode == 2
         assert "T must be >= 4" in json.loads(proc.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize("flags", [("--trials", "0"), ("--quick", "--trials", "-3")])
+    def test_trials_below_1_exit_2(self, flags):
+        proc = run_cli("verify", *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--trials must be >= 1" in json.loads(proc.stderr)["error"]["message"]
+
 
 class TestBench:
     def _write_dataset(self, tmp_path):
@@ -427,6 +434,17 @@ class TestBench:
         )
         assert proc.returncode == 2
         assert "zap" in json.loads(proc.stderr)["error"]["message"]
+
+    def test_folds_below_2_exit_2(self, tmp_path):
+        proc = run_cli(
+            "bench", "--synthetic", "--folds", "1", "--out-dir", str(tmp_path / "o")
+        )
+        assert proc.returncode == 2
+        # One error object, no per-dataset "skipping" lines before it.
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "DomainError"
+        assert "--folds must be >= 2" in error["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_empty_data_dir_exit_2(self, tmp_path):
         empty = tmp_path / "none"

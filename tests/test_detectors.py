@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from adreject.core import DimensionMismatch, DomainError, InsufficientData, NonFiniteInput
+import adreject.bench as bench
 import adreject.detectors as detectors
+from adreject.bench import Dataset, compute_fold_scores, detector_seed, make_folds
 from adreject.detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
 
 from oracles import brute_hbos_scores, brute_knn_scores, reference_iforest_scores
@@ -248,10 +250,12 @@ class TestTrainScores:
             "wide": rng.normal(size=(600, 32)),
             # Every row three times: ties in distance and in neighbours.
             "tied-grid": np.vstack([grid, grid, grid]),
+            # Small integers: duplicate rows and many equal distances.
+            "int-ties": rng.integers(0, 4, size=(500, 3)).astype(float),
         }
 
     @pytest.mark.parametrize("kind", DETECTOR_KINDS)
-    @pytest.mark.parametrize("data", ["normal", "wide", "tied-grid"])
+    @pytest.mark.parametrize("data", ["normal", "wide", "tied-grid", "int-ties"])
     def test_equal_to_scoring_the_training_matrix(self, kind, data):
         X = self._train_sets()[data]
         det = fit_detector(DetectorSpec(kind=kind, k=5, n_trees=20), X)
@@ -264,6 +268,48 @@ class TestTrainScores:
         before = det.train_scores()
         X[:] = 0.0
         assert det.train_scores().tobytes() == before.tobytes()
+
+
+class TestSharedNeighbourScores:
+    """kNN answered from LOF's kd-tree and neighbour query must equal a
+    kNN detector of its own, and LOF must not change."""
+
+    @pytest.mark.parametrize("data", ["normal", "wide", "tied-grid", "int-ties"])
+    @pytest.mark.parametrize(
+        "kinds", [DETECTOR_KINDS, ("lof", "knn"), ("knn",), ("lof",)],
+        ids=["all", "lof-knn", "knn", "lof"],
+    )
+    def test_compute_fold_scores_equal_separate_fits(self, data, kinds):
+        X = TestTrainScores._train_sets()[data]
+        ds = Dataset(name=data, X=X, labels=None, gamma=0.1)
+        got = compute_fold_scores(ds, kinds, fold=1, n_folds=4, seed=5)
+        assert list(got) == list(kinds)
+        train_idx, test_idx = make_folds(ds.n, 4, 5, ds.name)[1]
+        for kind in kinds:
+            spec = DetectorSpec(kind=kind, seed=detector_seed(5, ds.name, kind, 1))
+            det = fit_detector(spec, X[train_idx])
+            train, test = got[kind]
+            assert train.tobytes() == det.train_scores().tobytes()
+            assert test.tobytes() == det.score(X[test_idx]).tobytes()
+
+    @pytest.mark.parametrize("knn_k, lof_k", [(5, 5), (5, 8), (8, 5)])
+    def test_shared_only_at_equal_k(self, monkeypatch, knn_k, lof_k):
+        X = TestTrainScores._train_sets()["int-ties"]
+        train, queries = X[:400], X[400:]
+        fitted = []
+
+        def counting_fit(spec, X):
+            fitted.append(spec.kind)
+            return fit_detector(spec, X)
+
+        monkeypatch.setattr(bench, "fit_detector", counting_fit)
+        specs = [DetectorSpec(kind="knn", k=knn_k), DetectorSpec(kind="lof", k=lof_k)]
+        got = bench._score_fold(specs, train, queries)
+        assert fitted == (["lof"] if knn_k == lof_k else ["knn", "lof"])
+        for spec, (s_train, s_test) in zip(specs, got):
+            det = fit_detector(spec, train)
+            assert s_train.tobytes() == det.train_scores().tobytes()
+            assert s_test.tobytes() == det.score(queries).tobytes()
 
 
 class TestHbos:
@@ -321,3 +367,10 @@ class TestScoreShapes:
         assert s.shape == (9,)
         assert s.dtype == np.float64
         assert np.all(np.isfinite(s))
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_empty_query(self, kind):
+        train = np.random.default_rng(52).normal(size=(64, 2))
+        s = fit_detector(DetectorSpec(kind=kind, k=3), train).score(np.empty((0, 2)))
+        assert s.shape == (0,)
+        assert s.dtype == np.float64

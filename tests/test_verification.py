@@ -52,6 +52,11 @@ class TestDefaultVerification:
         with pytest.raises(DomainError):
             default_verification(quick=True, t_min=64.0)
 
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_trials_validation(self, quick):
+        with pytest.raises(DomainError):
+            default_verification(trials=0, quick=quick)
+
 
 class TestBandCoverCheck:
     def test_large_tolerance_grid(self):
