@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bounds import expected_cost_upper_bound, rejection_rate_estimate
 from .core import (
@@ -542,6 +541,24 @@ def run_trial(
     )[0]
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks.
+
+    Bit for bit ``scipy.stats.rankdata(values)``: the ranks are exact
+    half-integers, and any NaN makes every rank NaN.
+    """
+    a = np.asarray(values, dtype=float)
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[starts, a.size])
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
+    return ranks
+
+
 def rank_auc(scores, labels) -> float:
     """Area under the ROC curve via the rank statistic (ties averaged)."""
     s = np.asarray(scores, dtype=float)
@@ -550,7 +567,7 @@ def rank_auc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DomainError("AUC needs both classes present")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     return (ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -576,7 +593,7 @@ def aggregate(results: list[TrialResult]) -> dict:
     det_ranks: dict[tuple[str, str], list[float]] = {}
     for key, rs in groups.items():
         rs = sorted(rs, key=lambda r: r.method)
-        rk = rankdata([r.cost_per_example for r in rs])
+        rk = _average_ranks([r.cost_per_example for r in rs])
         for r, rank in zip(rs, rk):
             ranks[r.method].append(float(rank))
             det_ranks.setdefault((r.detector, r.method), []).append(float(rank))

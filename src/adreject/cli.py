@@ -26,13 +26,15 @@ from .bench import (
     synthetic_suite,
     write_report_files,
 )
-from .core import AdrejectError, CostSpec, DomainError, ScoreSet, ToleranceSpec
+from .core import AdrejectError, CostSpec, Decision, DomainError, ScoreSet, ToleranceSpec
 from .detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
 from .rejector import fit, load_model, predict_batch, save_model
 
 __all__ = ["build_parser", "main", "console_entry"]
 
 _PREDICT_COLUMNS = ("score", "psi_n", "p_anomaly", "confidence", "decision")
+# Indexed by BatchPredictions._codes().
+_DECISION_LABELS = np.array([str(d) for d in Decision])
 
 
 def _error_object(kind: str, message: str) -> int:
@@ -215,7 +217,7 @@ def cmd_predict(args) -> int:
         # csv writes a float as its repr, so a value reads back bit for bit.
         writer.writerows(zip(
             scores.tolist(), batch.psi_n.tolist(), batch.p_anomaly.tolist(),
-            batch.confidence.tolist(), map(str, batch.decisions),
+            batch.confidence.tolist(), _DECISION_LABELS[batch._codes()].tolist(),
         ))
     finally:
         if args.out:

@@ -140,8 +140,18 @@ def validate_domain(
 _BETAINC_TRUST_FLOOR = 1e-250
 
 
+def _as_real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, refusing complex input with a
+    ``DomainError`` (a float cast would drop the imaginary part with only
+    a ``ComplexWarning``)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise DomainError(f"{name} must be real, got complex values")
+    return np.asarray(arr, dtype=float)
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _as_real_array(values, name)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
@@ -165,7 +175,7 @@ class ScoreSet:
     NonFiniteInput
         If any score is NaN or infinite.
     DomainError
-        If ``gamma`` is outside ``[0, 0.5)``.
+        If ``gamma`` is outside ``[0, 0.5)``, or the scores are complex.
     """
 
     scores: np.ndarray

@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (
     DimensionMismatch,
     DomainError,
     InsufficientData,
     NonFiniteInput,
+    _as_real_array,
 )
 
 __all__ = ["DETECTOR_KINDS", "DetectorSpec", "fit_detector"]
@@ -72,7 +72,7 @@ class DetectorSpec:
 
 
 def _check_matrix(X, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(X, dtype=float)
+    arr = _as_real_array(X, "features")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -86,8 +86,9 @@ def _check_matrix(X, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _query_loo(tree: cKDTree, Q: np.ndarray, k: int):
-    """k nearest training rows per query, discarding one exact match.
+def _query_loo(tree, Q: np.ndarray, k: int):
+    """k nearest training rows of a ``cKDTree`` per query, discarding
+    one exact match.
 
     Returns distances and indices of shape (m, k).  When the nearest
     neighbour sits at distance exactly zero (the query equals a
@@ -118,6 +119,9 @@ class _Detector:
 class _KnnDetector(_Detector):
     def __init__(self, spec: DetectorSpec, X: np.ndarray):
         super().__init__(spec, X)
+        # Imported here: only kNN and LOF pay scipy.spatial's import.
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(X)
 
     def _neighbours(self, Q):
@@ -342,7 +346,8 @@ def fit_detector(spec: DetectorSpec, X):
     Raises
     ------
     DomainError
-        A matrix with no feature columns.
+        A matrix with no feature columns, or a complex one (``score``
+        refuses a complex query the same way).
     InsufficientData
         Fewer than 2 rows, or fewer than ``k + 1`` rows for the
         neighbour-based detectors.

@@ -35,6 +35,7 @@ from .core import (
     NonFiniteInput,
     ScoreSet,
     ToleranceSpec,
+    _as_real_array,
     anomaly_count,
     anomaly_rank,
 )
@@ -71,17 +72,17 @@ class BatchPredictions:
     def __len__(self) -> int:
         return int(self.psi_n.size)
 
+    def _codes(self) -> np.ndarray:
+        """Each row's decision as its index in ``tuple(Decision)``:
+        0 normal, 1 anomaly, 2 reject."""
+        codes = self.base_anomaly.astype(np.intp)
+        codes[self.rejected] = 2
+        return codes
+
     @property
     def decisions(self) -> list[Decision]:
-        out = []
-        for rej, anom in zip(self.rejected, self.base_anomaly):
-            if rej:
-                out.append(Decision.REJECT)
-            elif anom:
-                out.append(Decision.ANOMALY)
-            else:
-                out.append(Decision.NORMAL)
-        return out
+        members = tuple(Decision)
+        return [members[c] for c in self._codes().tolist()]
 
 
 def decision_threshold(train: ScoreSet) -> float:
@@ -175,9 +176,10 @@ def predict_batch(rejector: FittedRejector, scores) -> BatchPredictions:
     ``k_lo <= j < k_hi``: both tails of its stability distribution are at
     least ``exp(-T)``, as settled at fit time for every count.  A score
     costs a search in the sorted training scores and a lookup in the
-    fitted table.
+    fitted table.  Non-finite scores raise ``NonFiniteInput``, complex
+    ones ``DomainError``.
     """
-    arr = np.asarray(scores, dtype=float)
+    arr = _as_real_array(scores, "scores to predict")
     if arr.ndim != 1:
         arr = np.atleast_1d(np.squeeze(arr))
     if not np.all(np.isfinite(arr)):

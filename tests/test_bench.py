@@ -2,6 +2,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from adreject.bench import (
     COST_PRESETS,
@@ -19,6 +22,7 @@ from adreject.bench import (
     load_csv,
     make_folds,
     rank_auc,
+    _average_ranks,
     read_csv_table,
     run_benchmark,
     run_fold,
@@ -474,3 +478,51 @@ class TestRankAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             rank_auc([1.0, 2.0], [1, 1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_scores_equal_pair_counting(self, seed):
+        # Mann-Whitney: each (positive, negative) pair counts 1 when
+        # ordered and 1/2 when tied.  Both sides are exact half-integers
+        # over the same product, so they agree exactly.
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 5, size=60).astype(float)
+        labels = rng.random(60) < 0.3
+        pos, neg = scores[labels], scores[~labels]
+        wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
+        assert rank_auc(scores, labels) == wins / (pos.size * neg.size)
+
+
+def _assert_ranks_equal_rankdata(values):
+    got, want = _average_ranks(values), rankdata(values)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 3.0, 2.0, 1.0, 3.0],
+        [7.0] * 5,
+        [4.2],
+        [],
+        [0.0, -0.0, 1.0, -0.0, -1.0],
+        [np.inf, -np.inf, 0.0, np.inf, -np.inf],
+    ], ids=["ties", "all-equal", "single", "empty", "signed-zeros", "infinities"])
+    def test_equal_to_rankdata(self, values):
+        _assert_ranks_equal_rankdata(values)
+
+    def test_nan_gives_all_nan(self):
+        got = _average_ranks([1.0, np.nan, 0.5])
+        assert got.dtype == np.float64
+        assert np.isnan(got).all() and got.size == 3
+        _assert_ranks_equal_rankdata([1.0, np.nan, 0.5])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]),
+            st.floats(allow_nan=False),
+        ),
+        max_size=60,
+    ))
+    def test_heavy_ties_equal_rankdata(self, values):
+        _assert_ranks_equal_rankdata(values)

@@ -47,6 +47,11 @@ class TestScoreSet:
         with pytest.raises(NonFiniteInput):
             ScoreSet([1.0, bad], 0.1)
 
+    def test_complex_scores_refused(self):
+        # A float cast would keep only the real part, with a warning.
+        with pytest.raises(DomainError, match="must be real"):
+            ScoreSet(np.array([1.0 + 0j, 2.0 + 1j]), 0.1)
+
     @pytest.mark.parametrize("gamma", [-0.01, 0.5, 0.75, np.nan])
     def test_gamma_out_of_range(self, gamma):
         with pytest.raises(DomainError):

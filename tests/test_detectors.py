@@ -49,6 +49,14 @@ class TestMatrixValidation:
         with pytest.raises(NonFiniteInput):
             fit_detector(DetectorSpec(kind="knn", k=1), [[0.0], [np.nan], [1.0]])
 
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_complex_matrix_refused(self, kind):
+        with pytest.raises(DomainError, match="must be real"):
+            fit_detector(DetectorSpec(kind=kind, k=1), _grid().astype(complex))
+        det = fit_detector(DetectorSpec(kind=kind, k=1), _grid())
+        with pytest.raises(DomainError, match="must be real"):
+            det.score(_grid()[:3] + 0j)
+
     def test_query_dimension_mismatch(self):
         det = fit_detector(DetectorSpec(kind="knn", k=1), _grid())
         with pytest.raises(DimensionMismatch):

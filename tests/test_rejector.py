@@ -79,6 +79,22 @@ class TestPredict:
             )
             assert one.decisions == [want]
 
+    def test_complex_scores_refused(self):
+        rej = _fit(np.arange(1.0, 101.0), 0.1)
+        with pytest.raises(DomainError, match="must be real"):
+            predict_batch(rej, np.array([50.0 + 0j, 95.0 + 2j]))
+
+    def test_decisions_from_rejected_then_base_label(self):
+        rng = np.random.default_rng(3)
+        rej = _fit(rng.normal(size=500), 0.1, T=8.0)
+        batch = predict_batch(rej, np.linspace(-4.0, 4.0, 2001))
+        want = [
+            Decision.REJECT if r else (Decision.ANOMALY if a else Decision.NORMAL)
+            for r, a in zip(batch.rejected, batch.base_anomaly)
+        ]
+        assert set(want) == set(Decision)
+        assert batch.decisions == want
+
     def test_base_rule_is_threshold_comparison(self):
         rej = _fit(np.arange(1.0, 101.0), 0.1)
         batch = predict_batch(rej, [90.9, 91.0, 91.1, 200.0, -5.0])

@@ -1,8 +1,10 @@
 """The public surface: the names the package exports, the names the
-benchmark's tracer wraps, and the demos that show the package in use."""
+benchmark's tracer wraps, the modules an import loads, and the demos
+that show the package in use."""
 
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -54,6 +56,39 @@ def test_every_benchmark_only_import_is_traced():
         if m
     ]
     assert [(mod, name) for mod, name in kept if name not in wraps.get(mod, ())] == []
+
+
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import adreject, adreject.cli
+from adreject import DetectorSpec, fit_detector
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.stats", "scipy.spatial")}
+
+steps = {"import": loaded()}
+X = np.random.default_rng(0).normal(size=(50, 3))
+for kind in ("iforest", "hbos"):
+    fit_detector(DetectorSpec(kind=kind), X).score(X)
+steps["iforest+hbos"] = loaded()
+fit_detector(DetectorSpec(kind="knn"), X).score(X)
+steps["knn"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_imports_load_no_stats_and_spatial_only_for_a_kd_tree():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps["import"] == {"scipy.stats": False, "scipy.spatial": False}
+    assert steps["iforest+hbos"] == {"scipy.stats": False, "scipy.spatial": False}
+    assert steps["knn"] == {"scipy.stats": False, "scipy.spatial": True}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
