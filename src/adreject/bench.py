@@ -58,7 +58,6 @@ __all__ = [
     "make_folds",
     "detector_seed",
     "compute_fold_scores",
-    "run_fold",
     "run_trial",
     "rank_auc",
     "aggregate",
@@ -192,41 +191,25 @@ def _split_label(header: list[str], data: np.ndarray, label_column: str):
     return [header[j] for j in keep], data[:, keep], data[:, li]
 
 
-def load_csv(
-    path,
-    label_column: str = "label",
-    gamma_override: float | None = None,
-    subsample_seed: int = 0,
-) -> Dataset:
-    """Load a benchmark dataset from CSV.
+def load_csv(path, label_column: str = "label") -> Dataset:
+    """Load a labeled benchmark dataset from CSV; gamma is the label mean.
 
-    The label column is optional; without it ``gamma_override`` is
-    required.  Files longer than 20000 rows are subsampled without
-    replacement (seeded, so loading is a pure function of the inputs).
+    Files longer than 20000 rows are subsampled without replacement
+    (seeded, so loading is a pure function of the inputs).
     """
     path = Path(path)
     header, data = read_csv_table(path)
     if data.shape[0] == 0:
         raise InsufficientData(f"{path}: no data rows")
     names, X, labels = _split_label(header, data, label_column)
-    if labels is None and gamma_override is None:
-        raise MissingGamma(
-            f"{path}: no {label_column!r} column and no explicit gamma"
-        )
+    if labels is None:
+        raise MissingGamma(f"{path}: no {label_column!r} column to take gamma from")
     if X.shape[0] > MAX_ROWS:
-        rng = np.random.default_rng(subsample_seed)
+        rng = np.random.default_rng(0)
         keep = np.sort(rng.choice(X.shape[0], size=MAX_ROWS, replace=False))
-        X = X[keep]
-        labels = labels[keep] if labels is not None else None
-    if labels is not None and not np.all(np.isin(labels, (0.0, 1.0))):
-        raise NonBinaryLabels(f"{path}: labels must be 0/1")
-    if gamma_override is not None:
-        gamma = float(gamma_override)
-    else:
-        gamma = float(labels.mean())
-    return Dataset(
-        name=path.stem, X=X, labels=labels, gamma=gamma, feature_names=tuple(names)
-    )
+        X, labels = X[keep], labels[keep]
+    return Dataset(name=path.stem, X=X, labels=labels, gamma=float(labels.mean()),
+                   feature_names=tuple(names))
 
 
 def _moons(rng: np.random.Generator, m: int, noise: float) -> np.ndarray:
@@ -413,7 +396,7 @@ class TrialResult:
     wall_time_threshold_ms: float
 
 
-def run_fold(
+def run_trial(
     dataset: Dataset,
     detector_spec: DetectorSpec | None,
     costs: CostSpec,
@@ -424,20 +407,17 @@ def run_fold(
     delta: float = 0.05,
     scores: tuple[np.ndarray, np.ndarray] | None = None,
     detector_name: str | None = None,
-    methods: tuple[str, ...] = METHODS,
 ) -> list[TrialResult]:
-    """Run one cross-validation fold for each of ``methods``, in order.
+    """Run one cross-validation fold: one trial per method of
+    :data:`METHODS`, in order.
 
-    The detector (unless ``scores`` carries its precomputed (train,
-    test) scores), the rejector fit and the test predictions are shared
-    by all methods; each result equals what :func:`run_trial` returns
-    for that method alone.  With ``detector_spec=None`` the scores are
+    The detector, the rejector fit and the test predictions are shared
+    by all methods.  ``scores`` optionally carries precomputed (train,
+    test) detector scores for this exact fold; passing it changes
+    nothing but wall time.  With ``detector_spec=None`` the scores are
     mandatory and the trials are recorded under ``detector_name``
     (default ``"precomputed"``).
     """
-    for method in methods:
-        if method not in METHODS:
-            raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
     if dataset.labels is None:
         raise MissingGamma(
             f"dataset {dataset.name}: labels are required to evaluate cost"
@@ -469,7 +449,7 @@ def run_fold(
     )
 
     results = []
-    for method in methods:
+    for method in METHODS:
         if method == "rejex":
             # Times the label-free threshold step on its own; the
             # decision itself comes from the shared fit.
@@ -513,34 +493,6 @@ def run_fold(
     return results
 
 
-def run_trial(
-    dataset: Dataset,
-    detector_spec: DetectorSpec | None,
-    method: str,
-    costs: CostSpec,
-    tol: ToleranceSpec,
-    split_seed: int,
-    fold: int,
-    n_folds: int = 5,
-    delta: float = 0.05,
-    scores: tuple[np.ndarray, np.ndarray] | None = None,
-    detector_name: str | None = None,
-) -> TrialResult:
-    """Run one cross-validation trial: :func:`run_fold` for one method.
-
-    ``scores`` optionally carries precomputed (train, test) detector
-    scores for this exact fold; passing it changes nothing but wall
-    time.  With ``detector_spec=None`` the scores are mandatory and the
-    trial is recorded under ``detector_name`` (default
-    ``"precomputed"``).
-    """
-    return run_fold(
-        dataset, detector_spec, costs, tol, split_seed, fold, n_folds=n_folds,
-        delta=delta, scores=scores, detector_name=detector_name,
-        methods=(method,),
-    )[0]
-
-
 def _average_ranks(values) -> np.ndarray:
     """1-based ranks, tied values sharing the mean of their ranks.
 
@@ -580,51 +532,51 @@ def aggregate(results: list[TrialResult]) -> dict:
     """Summarize trials: per-detector method means, ranks, violations.
 
     Ranks: within each (dataset, detector, fold) group the methods are
-    ranked by cost, 1 = cheapest, ties averaged.
+    ranked by cost, 1 = cheapest, ties averaged.  Every mean is taken
+    over its trials in result order.
     """
     if not results:
         raise EmptyResults("no trial results to aggregate")
     methods = sorted({r.method for r in results})
     detectors = sorted({r.detector for r in results})
     groups: dict[tuple[str, str, int], list[TrialResult]] = {}
+    cells: dict[tuple[str, str], list[TrialResult]] = {}
+    by_method: dict[str, list[TrialResult]] = {}
     for r in results:
         groups.setdefault((r.dataset, r.detector, r.fold), []).append(r)
+        cells.setdefault((r.detector, r.method), []).append(r)
+        by_method.setdefault(r.method, []).append(r)
     ranks: dict[str, list[float]] = {m: [] for m in methods}
     det_ranks: dict[tuple[str, str], list[float]] = {}
-    for key, rs in groups.items():
+    for rs in groups.values():
         rs = sorted(rs, key=lambda r: r.method)
         rk = _average_ranks([r.cost_per_example for r in rs])
         for r, rank in zip(rs, rk):
             ranks[r.method].append(float(rank))
             det_ranks.setdefault((r.detector, r.method), []).append(float(rank))
-    per_detector: dict[str, dict] = {}
-    for det in detectors:
-        per_detector[det] = {}
-        for m in methods:
-            rows = [r for r in results if r.detector == det and r.method == m]
-            if not rows:
-                continue
-            cost_mean, cost_std = _mean_std([r.cost_per_example for r in rows])
-            rate_mean, rate_std = _mean_std([r.rejection_rate for r in rows])
-            per_detector[det][m] = {
-                "trials": len(rows),
-                "cost_mean": cost_mean,
-                "cost_std": cost_std,
-                "rejection_rate_mean": rate_mean,
-                "rejection_rate_std": rate_std,
-                "mean_rank": float(np.mean(det_ranks.get((det, m), [math.nan]))),
-            }
+    per_detector: dict[str, dict] = {det: {} for det in detectors}
+    for (det, m), rows in sorted(cells.items()):
+        cost_mean, cost_std = _mean_std([r.cost_per_example for r in rows])
+        rate_mean, rate_std = _mean_std([r.rejection_rate for r in rows])
+        per_detector[det][m] = {
+            "trials": len(rows),
+            "cost_mean": cost_mean,
+            "cost_std": cost_std,
+            "rejection_rate_mean": rate_mean,
+            "rejection_rate_std": rate_std,
+            "mean_rank": float(np.mean(det_ranks[det, m])),
+        }
     overall = {}
     for m in methods:
-        rows = [r for r in results if r.method == m]
+        rows = by_method[m]
         cost_mean, cost_std = _mean_std([r.cost_per_example for r in rows])
         overall[m] = {
             "trials": len(rows),
             "cost_mean": cost_mean,
             "cost_std": cost_std,
-            "mean_rank": float(np.mean(ranks[m])) if ranks[m] else math.nan,
+            "mean_rank": float(np.mean(ranks[m])),
         }
-    rejex_rows = [r for r in results if r.method == "rejex"]
+    rejex_rows = by_method.get("rejex", [])
     violations = {
         "trials": len(rejex_rows),
         "rejection_rate_over_h": sum(
@@ -636,14 +588,12 @@ def aggregate(results: list[TrialResult]) -> dict:
     }
     oracle_gap = {}
     if "rejex" in methods and "oracle" in methods:
-        for det in detectors + ["overall"]:
-            sel = (
-                results
-                if det == "overall"
-                else [r for r in results if r.detector == det]
-            )
-            rx = np.mean([r.cost_per_example for r in sel if r.method == "rejex"])
-            orc = np.mean([r.cost_per_example for r in sel if r.method == "oracle"])
+        pairs = {det: (cells.get((det, "rejex"), []), cells.get((det, "oracle"), []))
+                 for det in detectors}
+        pairs["overall"] = (by_method["rejex"], by_method["oracle"])
+        for det, (rx_rows, orc_rows) in pairs.items():
+            rx = np.mean([r.cost_per_example for r in rx_rows])
+            orc = np.mean([r.cost_per_example for r in orc_rows])
             if orc > 0:
                 oracle_gap[det] = float((rx - orc) / orc * 100.0)
             else:
@@ -738,13 +688,12 @@ def run_benchmark(
     delta: float = 0.05,
     n_folds: int = 5,
     seed: int = 0,
-    methods: tuple[str, ...] = METHODS,
     custom_costs: CostSpec | None = None,
     scores_only: bool = False,
 ) -> list[TrialResult]:
     """Run the full trial grid: each fold's detectors scored at once
-    (:func:`compute_fold_scores`), then one rejector fit per fold and
-    detector, shared by all methods.
+    (:func:`compute_fold_scores`), then one :func:`run_trial` per fold
+    and detector.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
@@ -762,9 +711,8 @@ def run_benchmark(
                 f"score column, found {dataset.X.shape[1]}"
             )
         if scores_only:
-            # ``None`` stands for the dataset's own score column.
-            kinds = (None,)
-            fold_scores = [{None: (dataset.X[train_idx, 0], dataset.X[test_idx, 0])}
+            kinds = ("precomputed",)
+            fold_scores = [{kinds[0]: (dataset.X[train_idx, 0], dataset.X[test_idx, 0])}
                            for train_idx, test_idx in folds]
         else:
             kinds = detector_kinds
@@ -773,9 +721,8 @@ def run_benchmark(
         # Kind-major: the report's float means are summed in result order.
         for kind in kinds:
             for fold, scores in enumerate(fold_scores):
-                results += run_fold(
+                results += run_trial(
                     dataset, None, costs, tol, seed, fold, n_folds=n_folds,
                     delta=delta, scores=scores[kind], detector_name=kind,
-                    methods=methods,
                 )
     return results

@@ -100,9 +100,7 @@ class RejectionBandSpec:
     h: float
 
     def __post_init__(self) -> None:
-        validate_domain(n=self.n, gamma=self.gamma, T=self.T)
-        if not (0.0 < self.delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
+        validate_domain(n=self.n, gamma=self.gamma, T=self.T, delta=self.delta)
         if not (self.t1 <= 1.0 - self.gamma <= self.t2):
             raise DomainError(
                 f"band [{self.t1}, {self.t2}] must straddle 1 - gamma"
@@ -113,8 +111,7 @@ def rejection_band(
     n: int, gamma: float, T: float, delta: float = 0.05
 ) -> RejectionBandSpec:
     """Build the band spec for a training size and tolerance."""
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    validate_domain(delta=delta)
     t1, t2 = band_edges(n, gamma, T)
     h = min(max(t2 - t1 + _dkw_term(n, delta), 0.0), 1.0)
     return RejectionBandSpec(n=n, gamma=gamma, T=T, delta=delta, t1=t1, t2=t2, h=h)

@@ -26,7 +26,8 @@ from .bench import (
     synthetic_suite,
     write_report_files,
 )
-from .core import AdrejectError, CostSpec, Decision, DomainError, ScoreSet, ToleranceSpec
+from .core import (AdrejectError, CostSpec, Decision, DomainError, ScoreSet,
+                   ToleranceSpec, validate_domain)
 from .detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
 from .rejector import fit, load_model, predict_batch, save_model
 
@@ -119,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--delta", type=float, default=0.05)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--folds", type=int, default=5)
-    p_bench.add_argument("--gamma", type=float, default=None,
-                         help="contamination override for loaded datasets")
     p_bench.add_argument("--label-column", default="label")
     p_bench.add_argument(
         "--scores-only", action="store_true",
@@ -263,6 +262,8 @@ def _parse_costs(text: str):
 
 def cmd_bench(args) -> int:
     detector_kinds = tuple(k.strip() for k in args.detectors.split(",") if k.strip())
+    if not detector_kinds:
+        raise DomainError(f"--detectors names no detector, got {args.detectors!r}")
     for kind in detector_kinds:
         if kind not in DETECTOR_KINDS:
             raise DomainError(
@@ -271,6 +272,8 @@ def cmd_bench(args) -> int:
     preset, custom = _parse_costs(args.costs)
     if args.folds < 2:
         raise DomainError(f"--folds must be >= 2, got {args.folds}")
+    tol = ToleranceSpec(args.t_tolerance)
+    validate_domain(delta=args.delta)
     if args.synthetic:
         datasets = synthetic_suite(args.seed)
     else:
@@ -280,10 +283,7 @@ def cmd_bench(args) -> int:
         datasets = []
         for path in paths:
             try:
-                datasets.append(
-                    load_csv(path, label_column=args.label_column,
-                             gamma_override=args.gamma)
-                )
+                datasets.append(load_csv(path, label_column=args.label_column))
             except AdrejectError as exc:
                 print(f"skipping {path}: {exc}", file=sys.stderr)
     if not datasets:
@@ -298,7 +298,7 @@ def cmd_bench(args) -> int:
                     [dataset],
                     detector_kinds=detector_kinds,
                     preset=preset or "q1",
-                    T=args.t_tolerance,
+                    T=tol.T,
                     delta=args.delta,
                     n_folds=args.folds,
                     seed=args.seed,

@@ -121,17 +121,20 @@ def anomaly_rank(n: int, gamma: float) -> int:
 
 
 def validate_domain(
-    n: int | None = None, gamma: float | None = None, T: float | None = None
+    n: int | None = None, gamma: float | None = None, T: float | None = None,
+    delta: float | None = None,
 ) -> None:
-    """Refuse ``n < 1``, ``gamma`` outside ``[0, 0.5)``, and ``T`` below 4
-    or non-finite, with a ``DomainError``; an argument left ``None`` is
-    not checked."""
+    """Refuse ``n < 1``, ``gamma`` outside ``[0, 0.5)``, ``T`` below 4
+    or non-finite, and ``delta`` outside ``(0, 1)``, with a
+    ``DomainError``; an argument left ``None`` is not checked."""
     if n is not None and n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if gamma is not None and not (0.0 <= gamma < 0.5):
         raise DomainError(f"gamma must lie in [0, 0.5), got {gamma}")
     if T is not None and (not math.isfinite(T) or T < 4.0):
         raise DomainError(f"T must be >= 4 and finite, got {T}")
+    if delta is not None and not (0.0 < delta < 1.0):
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
 
 
 # Below this magnitude the incomplete-beta routine can return values

@@ -22,7 +22,7 @@ from adreject.bench import (
     aggregate,
     compute_fold_scores,
     cost_preset,
-    run_fold,
+    run_trial,
     synthetic_suite,
 )
 from adreject.core import ToleranceSpec
@@ -75,7 +75,7 @@ def bench_reports():
             costs = cost_preset(preset, ds.gamma)
             for kind in DETECTOR_KINDS:
                 for fold in range(N_FOLDS):
-                    results += run_fold(
+                    results += run_trial(
                         ds,
                         None,
                         costs,

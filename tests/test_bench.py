@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from adreject.bench import (
     _average_ranks,
     read_csv_table,
     run_benchmark,
-    run_fold,
     run_trial,
     synthetic_suite,
     write_report_files,
@@ -35,9 +32,11 @@ from adreject.core import (
     DomainError,
     NonBinaryLabels,
     NonFiniteInput,
+    ScoreSet,
     ToleranceSpec,
 )
-from adreject.detectors import DetectorSpec
+from adreject.detectors import DetectorSpec, fit_detector
+from adreject.rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 
 def _toy_dataset(n=300, gamma=0.1, seed=0, name="toy"):
@@ -163,21 +162,14 @@ class TestCsvLoading:
         with pytest.raises(MissingGamma):
             load_csv(p)
 
-    def test_load_csv_gamma_override(self, tmp_path):
-        p = tmp_path / "nolabel.csv"
-        p.write_text("x1\n" + "\n".join(str(float(i)) for i in range(20)) + "\n")
-        ds = load_csv(p, gamma_override=0.25)
-        assert ds.gamma == 0.25
-        assert ds.labels is None  # no label column in the file
-
     def test_load_csv_subsample_deterministic(self, tmp_path):
         rng = np.random.default_rng(1)
         p = tmp_path / "big.csv"
         rows = ["x,label"]
         rows += [f"{rng.normal()},{int(rng.random() < 0.1)}" for _ in range(200)]
         p.write_text("\n".join(rows) + "\n")
-        a = load_csv(p, subsample_seed=5)
-        b = load_csv(p, subsample_seed=5)
+        a = load_csv(p)
+        b = load_csv(p)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.labels, b.labels)
 
@@ -266,7 +258,8 @@ class TestRunTrial:
 
     def test_noreject_rate_zero(self):
         ds, spec, costs, tol = self._common()
-        r = run_trial(ds, spec, "noreject", costs, tol, split_seed=0, fold=0)
+        trials = run_trial(ds, spec, costs, tol, split_seed=0, fold=0)
+        r = trials[METHODS.index("noreject")]
         assert r.rejection_rate == 0.0
         assert r.method == "noreject"
         assert r.n_train + r.n_test == 250
@@ -275,13 +268,12 @@ class TestRunTrial:
         ds, _, costs, tol = self._common()
         # Mirror the DetectorSpec that compute_fold_scores builds internally.
         spec = DetectorSpec(kind="knn", seed=detector_seed(0, ds.name, "knn", 1))
-        direct = run_trial(ds, spec, "rejex", costs, tol, split_seed=0, fold=1)
+        direct = run_trial(ds, spec, costs, tol, split_seed=0, fold=1)
         # kNN answered from LOF's neighbour query, as run_benchmark does.
         scores = compute_fold_scores(ds, ("knn", "lof"), fold=1, n_folds=5, seed=0)["knn"]
         cached = run_trial(
             ds,
             None,
-            "rejex",
             costs,
             tol,
             split_seed=0,
@@ -289,40 +281,35 @@ class TestRunTrial:
             scores=scores,
             detector_name="knn",
         )
-        for field in (
-            "cost_per_example",
-            "rejection_rate",
-            "fp_rate",
-            "fn_rate",
-            "r_hat",
-            "bound_h",
-            "cost_bound",
-        ):
-            assert getattr(direct, field) == getattr(cached, field)
+        assert [r.method for r in cached] == [r.method for r in direct]
+        for a, b in zip(direct, cached):
+            for field in (
+                "detector",
+                "cost_per_example",
+                "rejection_rate",
+                "fp_rate",
+                "fn_rate",
+                "r_hat",
+                "bound_h",
+                "cost_bound",
+            ):
+                assert getattr(a, field) == getattr(b, field)
 
     def test_oracle_not_worse_than_rejex_on_average(self):
         ds, spec, costs, tol = self._common()
         diffs = []
         for fold in range(5):
-            o = run_trial(ds, spec, "oracle", costs, tol, split_seed=0, fold=fold)
-            r = run_trial(ds, spec, "rejex", costs, tol, split_seed=0, fold=fold)
-            diffs.append(r.cost_per_example - o.cost_per_example)
+            by_method = {
+                r.method: r.cost_per_example
+                for r in run_trial(ds, spec, costs, tol, split_seed=0, fold=fold)
+            }
+            diffs.append(by_method["rejex"] - by_method["oracle"])
         assert np.mean(diffs) >= -0.01
-
-    def test_unknown_method(self):
-        ds, spec, costs, tol = self._common()
-        with pytest.raises(DomainError):
-            run_trial(ds, spec, "magic", costs, tol, split_seed=0, fold=0)
 
 
 class TestRunFold:
-    @staticmethod
-    def _same(a, b):
-        # Every field but the wall-clock column.
-        return all(
-            getattr(a, f.name) == getattr(b, f.name)
-            for f in fields(TrialResult) if f.name != "wall_time_threshold_ms"
-        )
+    """``run_trial`` evaluates a whole fold: one detector and one rejector
+    fit, shared by one trial per method."""
 
     @pytest.mark.parametrize("kind", ["knn", "iforest"])
     @pytest.mark.parametrize("preset", ["q1", "case2"])
@@ -332,31 +319,30 @@ class TestRunFold:
         costs = cost_preset(preset, ds.gamma)
         tol = ToleranceSpec(8.0)
         for fold in (0, 3):
-            shared = run_fold(ds, spec, costs, tol, split_seed=1, fold=fold)
-            assert [r.method for r in shared] == list(METHODS)
-            for r in shared:
-                alone = run_trial(ds, spec, r.method, costs, tol, split_seed=1, fold=fold)
-                assert self._same(r, alone)
-
-    def test_precomputed_scores_and_method_subset(self):
-        ds = _toy_dataset(n=200, gamma=0.1, seed=6)
-        costs = cost_preset("q1", ds.gamma)
-        tol = ToleranceSpec(8.0)
-        scores = compute_fold_scores(ds, ("lof",), fold=2, n_folds=5, seed=0)["lof"]
-        shared = run_fold(ds, None, costs, tol, split_seed=0, fold=2, scores=scores,
-                          detector_name="lof", methods=("oracle", "rejex"))
-        assert [r.method for r in shared] == ["oracle", "rejex"]
-        for r in shared:
-            alone = run_trial(ds, None, r.method, costs, tol, split_seed=0, fold=2,
-                              scores=scores, detector_name="lof")
-            assert self._same(r, alone)
-
-    def test_unknown_method_anywhere(self):
-        ds = _toy_dataset(n=200, gamma=0.1, seed=6)
-        with pytest.raises(DomainError):
-            run_fold(ds, DetectorSpec(kind="hbos"), cost_preset("q1", ds.gamma),
-                     ToleranceSpec(8.0), split_seed=0, fold=0,
-                     methods=("rejex", "magic"))
+            trials = run_trial(ds, spec, costs, tol, split_seed=1, fold=fold)
+            assert [r.method for r in trials] == list(METHODS)
+            # Each method evaluated on its own, from a fresh fit.
+            train_idx, test_idx = make_folds(ds.n, 5, 1, ds.name)[fold]
+            det = fit_detector(spec, ds.X[train_idx])
+            rej = fit(ScoreSet(det.train_scores(), ds.gamma), tol)
+            batch = predict_batch(rej, det.score(ds.X[test_idx]))
+            y_train = ds.labels[train_idx].astype(bool)
+            y_test = ds.labels[test_idx].astype(bool)
+            theta, _ = oracle_sweep(rej, y_train, costs)
+            rejected = {
+                "rejex": batch.rejected,
+                "noreject": np.zeros(len(batch), dtype=bool),
+                "oracle": batch.confidence <= theta,
+            }
+            for r in trials:
+                mask = rejected[r.method]
+                assert r.detector == kind
+                assert r.cost_per_example == empirical_cost(
+                    batch.base_anomaly, mask, y_test, costs
+                )
+                assert r.rejection_rate == np.count_nonzero(mask) / y_test.size
+                assert r.r_hat == rej.estimate.r_hat
+                assert r.bound_h == rej.band.h
 
 
 class TestAggregateAndReports:

@@ -435,15 +435,26 @@ class TestBench:
         assert proc.returncode == 2
         assert "zap" in json.loads(proc.stderr)["error"]["message"]
 
-    def test_folds_below_2_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--folds", "1", "--folds must be >= 2"),
+            ("--t-tolerance", "3", "T must be >= 4"),
+            ("--delta", "2", "delta must lie in (0, 1)"),
+            ("--detectors", ",", "--detectors names no detector"),
+        ],
+        ids=["folds", "t-tolerance", "delta", "detectors"],
+    )
+    def test_folds_below_2_exit_2(self, tmp_path, flag, value, message):
+        # Bad bench flags are refused before any dataset loads.
         proc = run_cli(
-            "bench", "--synthetic", "--folds", "1", "--out-dir", str(tmp_path / "o")
+            "bench", "--synthetic", flag, value, "--out-dir", str(tmp_path / "o")
         )
         assert proc.returncode == 2
         # One error object, no per-dataset "skipping" lines before it.
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == "DomainError"
-        assert "--folds must be >= 2" in error["message"]
+        assert message in error["message"]
         assert not (tmp_path / "o").exists()
 
     def test_empty_data_dir_exit_2(self, tmp_path):

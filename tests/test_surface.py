@@ -4,6 +4,7 @@ that show the package in use."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -11,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adreject
+from adreject import bench
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -56,6 +59,44 @@ def test_every_benchmark_only_import_is_traced():
         if m
     ]
     assert [(mod, name) for mod, name in kept if name not in wraps.get(mod, ())] == []
+
+
+def test_research_loop_fits_each_rejector_inside_run_trial(monkeypatch):
+    # The tracer reads rejector fits under ``adreject.bench.run_trial`` as
+    # ``bench.fits_per_fold``, so the loop must go through that binding:
+    # one call per (dataset, kind, fold), and every fit inside one.
+    real_trial, real_fit = bench.run_trial, bench.fit
+    signature = inspect.signature(real_trial)
+    cells, fit_depths, depth = [], [], [0]
+
+    def counted_trial(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        cells.append((bound["dataset"].name, bound["detector_name"], bound["fold"]))
+        depth[0] += 1
+        try:
+            return real_trial(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_fit(*args, **kwargs):
+        fit_depths.append(depth[0])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_trial", counted_trial)
+    monkeypatch.setattr(bench, "fit", counted_fit)
+    rng = np.random.default_rng(3)
+    labels = np.r_[np.zeros(108, int), np.ones(12, int)]
+    datasets = [
+        bench.Dataset(name=name, X=rng.normal(size=(120, 2)) + 3.0 * labels[:, None],
+                      labels=labels, gamma=0.1)
+        for name in ("a", "b")
+    ]
+    results = bench.run_benchmark(datasets, detector_kinds=("hbos", "knn"), T=8.0,
+                                  n_folds=3)
+    expected = [(d, k, f) for d in ("a", "b") for k in ("hbos", "knn") for f in range(3)]
+    assert sorted(cells) == expected
+    assert fit_depths == [1] * len(expected)
+    assert len(results) == len(expected) * len(bench.METHODS)
 
 
 _IMPORT_PROBE = """
