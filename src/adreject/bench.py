@@ -43,7 +43,7 @@ from .core import (
     ToleranceSpec,
     validate_cost_spec,
 )
-from .detectors import DetectorSpec, fit_detector
+from .detectors import DetectorSpec, fit_detector, fold_neighbour_scores
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 __all__ = [
@@ -332,47 +332,33 @@ def make_folds(
     return folds
 
 
-def _score_fold(
-    specs: list[DetectorSpec], X: np.ndarray, Q: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each spec's (train, test) scores, bit for bit what
-    ``fit_detector(spec, X)`` returns from ``train_scores()`` and
-    ``score(Q)``.
-
-    A kNN spec whose ``k`` equals a LOF spec's is answered by that LOF,
-    so the two share one kd-tree and one neighbour query per matrix.
-    """
-    shared = ({s.k for s in specs if s.kind == "knn"}
-              & {s.k for s in specs if s.kind == "lof"})
-    scores, knn = {}, {}
-    for spec in specs:
-        if spec.kind == "knn" and spec.k in shared:
-            continue
-        det = fit_detector(spec, X)
-        if spec.kind == "lof" and spec.k in shared:
-            both = det.neighbour_scores(Q)
-            scores[spec], knn[spec.k] = both["lof"], both["knn"]
-        else:
-            scores[spec] = det.train_scores(), det.score(Q)
-    return [knn[s.k] if s.kind == "knn" and s.k in shared else scores[s]
-            for s in specs]
-
-
 def compute_fold_scores(
-    dataset: Dataset, kinds: tuple[str, ...], fold: int, n_folds: int, seed: int
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Fit each detector kind on a training fold; return
-    ``{kind: (train, test)}`` scores.
+    dataset: Dataset, kinds: tuple[str, ...], n_folds: int, seed: int
+) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Each fold's detector scores, ``{kind: (train, test)}`` in fold
+    order: bit for bit what ``fit_detector`` on the training fold
+    returns from ``train_scores()`` and ``score`` of the test fold.
 
-    kNN and LOF share one kd-tree and one neighbour query per matrix.
-    Seeding matches :func:`run_benchmark`, so callers can precompute a
-    score cache and replay trials for several cost presets without
-    refitting detectors or changing any output.
+    kNN and LOF answer every fold from one kd-tree over the dataset and
+    one neighbour query of its rows (``fold_neighbour_scores``); the
+    other kinds are fitted per fold.  Seeding matches
+    :func:`run_benchmark`, so callers can precompute a score cache and
+    replay trials for several cost presets without refitting detectors
+    or changing any output.
     """
-    train_idx, test_idx = make_folds(dataset.n, n_folds, seed, dataset.name)[fold]
-    specs = [DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold))
-             for kind in kinds]
-    return dict(zip(kinds, _score_fold(specs, dataset.X[train_idx], dataset.X[test_idx])))
+    folds = make_folds(dataset.n, n_folds, seed, dataset.name)
+    # Built first, so an unknown kind is refused before any work.
+    specs = {kind: DetectorSpec(kind=kind) for kind in kinds}
+    near = [kind for kind in specs if kind in ("knn", "lof")]
+    per_fold = (fold_neighbour_scores(dataset.X, folds, near, specs[near[0]].k)
+                if near else [{} for _ in folds])
+    for fold, ((train_idx, test_idx), scores) in enumerate(zip(folds, per_fold)):
+        for kind in [kind for kind in specs if kind not in scores]:
+            seeded = DetectorSpec(kind=kind,
+                                  seed=detector_seed(seed, dataset.name, kind, fold))
+            det = fit_detector(seeded, dataset.X[train_idx])
+            scores[kind] = det.train_scores(), det.score(dataset.X[test_idx])
+    return [{kind: scores[kind] for kind in kinds} for scores in per_fold]
 
 
 @dataclass(frozen=True)
@@ -394,6 +380,16 @@ class TrialResult:
     bound_h: float
     cost_bound: float
     wall_time_threshold_ms: float
+
+
+def _check_costable(dataset: Dataset, costs: CostSpec) -> None:
+    """Refuse a dataset whose trials cannot be costed: it has no labels,
+    or ``costs`` is inadmissible at its contamination."""
+    if dataset.labels is None:
+        raise MissingGamma(
+            f"dataset {dataset.name}: labels are required to evaluate cost"
+        )
+    validate_cost_spec(costs, dataset.gamma)
 
 
 def run_trial(
@@ -418,11 +414,7 @@ def run_trial(
     mandatory and the trials are recorded under ``detector_name``
     (default ``"precomputed"``).
     """
-    if dataset.labels is None:
-        raise MissingGamma(
-            f"dataset {dataset.name}: labels are required to evaluate cost"
-        )
-    validate_cost_spec(costs, dataset.gamma)
+    _check_costable(dataset, costs)
     folds = make_folds(dataset.n, n_folds, split_seed, dataset.name)
     if not (0 <= fold < n_folds):
         raise DomainError(f"fold must lie in [0, {n_folds}), got {fold}")
@@ -430,9 +422,8 @@ def run_trial(
     if scores is None:
         if detector_spec is None:
             raise DomainError("a trial needs a detector spec or precomputed scores")
-        [(s_train, s_test)] = _score_fold(
-            [detector_spec], dataset.X[train_idx], dataset.X[test_idx]
-        )
+        det = fit_detector(detector_spec, dataset.X[train_idx])
+        s_train, s_test = det.train_scores(), det.score(dataset.X[test_idx])
     else:
         s_train, s_test = scores
     if detector_name is None:
@@ -691,9 +682,9 @@ def run_benchmark(
     custom_costs: CostSpec | None = None,
     scores_only: bool = False,
 ) -> list[TrialResult]:
-    """Run the full trial grid: each fold's detectors scored at once
-    (:func:`compute_fold_scores`), then one :func:`run_trial` per fold
-    and detector.
+    """Run the full trial grid: each dataset's detectors scored on every
+    fold at once (:func:`compute_fold_scores`), then one
+    :func:`run_trial` per fold and detector.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
@@ -704,20 +695,21 @@ def run_benchmark(
         costs = custom_costs if custom_costs is not None else cost_preset(
             preset, dataset.gamma
         )
-        folds = make_folds(dataset.n, n_folds, seed, dataset.name)
-        if scores_only and dataset.X.shape[1] != 1:
-            raise DomainError(
-                f"dataset {dataset.name}: scores-only mode needs exactly one "
-                f"score column, found {dataset.X.shape[1]}"
-            )
+        # run_trial's own checks, made before any detector work.
+        _check_costable(dataset, costs)
         if scores_only:
+            folds = make_folds(dataset.n, n_folds, seed, dataset.name)
+            if dataset.X.shape[1] != 1:
+                raise DomainError(
+                    f"dataset {dataset.name}: scores-only mode needs exactly one "
+                    f"score column, found {dataset.X.shape[1]}"
+                )
             kinds = ("precomputed",)
             fold_scores = [{kinds[0]: (dataset.X[train_idx, 0], dataset.X[test_idx, 0])}
                            for train_idx, test_idx in folds]
         else:
             kinds = detector_kinds
-            fold_scores = [compute_fold_scores(dataset, kinds, fold, n_folds, seed)
-                           for fold in range(n_folds)]
+            fold_scores = compute_fold_scores(dataset, kinds, n_folds, seed)
         # Kind-major: the report's float means are summed in result order.
         for kind in kinds:
             for fold, scores in enumerate(fold_scores):

@@ -192,6 +192,14 @@ def _scores_from_model(state: dict, header: list[str], data: np.ndarray, test_pa
         cols = [header.index(c) for c in detector_state["feature_names"]]
         spec = DetectorSpec(**{f.name: detector_state[f.name] for f in fields(DetectorSpec)})
         det = fit_detector(spec, np.asarray(detector_state["train_matrix"], dtype=float))
+        # The refitted detector must reproduce the scores the rejector was
+        # fitted on, so a changed spec or training row cannot predict.
+        stored = np.asarray(state["scores_sorted"], dtype=float)
+        if not np.array_equal(np.sort(det.train_scores()).view("u8"), stored.view("u8")):
+            raise ValueError(
+                "model detector does not reproduce scores_sorted: its spec or "
+                "train_matrix was changed"
+            )
         if data.shape[0] == 0:
             return np.empty(0)
         return det.score(data[:, cols])

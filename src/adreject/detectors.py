@@ -18,9 +18,12 @@ invariant to training row order.
 Every fitted detector also has ``train_scores()``: the scores of its
 own training matrix, bit for bit what ``score`` returns on a copy of
 it.  LOF answers from the neighbourhoods it found at fit; the others
-score the matrix again.  LOF is kNN plus densities, so a fitted LOF
-also gives the scores of kNN with the same ``k`` (``neighbour_scores``)
-from the one kd-tree and neighbour query they would both make.
+score the matrix again.
+
+For cross-validation, ``fold_neighbour_scores`` gives the kNN and LOF
+scores of every fold of a matrix from one kd-tree over all its rows and
+one neighbour query of them, bit for bit what a detector fitted on each
+training fold returns.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .core import (
     _as_real_array,
 )
 
-__all__ = ["DETECTOR_KINDS", "DetectorSpec", "fit_detector"]
+__all__ = ["DETECTOR_KINDS", "DetectorSpec", "fit_detector", "fold_neighbour_scores"]
 
 DETECTOR_KINDS = ("knn", "lof", "iforest", "hbos")
 
@@ -86,24 +89,46 @@ def _check_matrix(X, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _query_loo(tree, Q: np.ndarray, k: int):
-    """k nearest training rows of a ``cKDTree`` per query, discarding
-    one exact match.
-
-    Returns distances and indices of shape (m, k).  When the nearest
-    neighbour sits at distance exactly zero (the query equals a
-    training row) it is skipped, so train and test scoring share one
-    code path.
-    """
-    # Each query is answered on its own, so spreading them over all cores
-    # returns the same distances and indices.
-    dist, idx = tree.query(Q, k=k + 1, workers=-1)
-    dist = np.atleast_2d(dist)
-    idx = np.atleast_2d(idx)
+def _drop_exact(dist: np.ndarray, idx: np.ndarray, k: int):
+    """The first k of at least k+1 ascending neighbours, or the k after
+    the first when that one sits at distance exactly zero (the query
+    equals a training row), so train and test scoring share one code
+    path."""
     exact = dist[:, :1] == 0.0
     dsel = np.where(exact, dist[:, 1 : k + 1], dist[:, 0:k])
     isel = np.where(exact, idx[:, 1 : k + 1], idx[:, 0:k])
     return dsel, isel
+
+
+def _query_loo(tree, Q: np.ndarray, k: int):
+    """k nearest training rows of a ``cKDTree`` per query, discarding
+    one exact match (``_drop_exact``); distances and indices of shape
+    (m, k)."""
+    # Each query is answered on its own, so spreading them over all cores
+    # returns the same distances and indices.
+    dist, idx = tree.query(Q, k=k + 1, workers=-1)
+    return _drop_exact(np.atleast_2d(dist), np.atleast_2d(idx), k)
+
+
+def _reach_density(kdist: np.ndarray, dsel: np.ndarray, isel: np.ndarray) -> np.ndarray:
+    """Local reachability density of each row from its neighbourhood
+    (distances ``dsel`` to training rows ``isel``)."""
+    reach = np.maximum(kdist[isel], dsel)
+    return 1.0 / (reach.mean(axis=1) + 1e-10)
+
+
+def _lof_fit(ndist: np.ndarray, nidx: np.ndarray):
+    """LOF's k-distances, densities and scores of the training rows,
+    from their neighbourhoods within the training set."""
+    kdist = ndist[:, -1]
+    lrd = _reach_density(kdist, ndist, nidx)
+    return kdist, lrd, lrd[nidx].mean(axis=1) / lrd
+
+
+def _lof_score(kdist, lrd, dsel: np.ndarray, isel: np.ndarray) -> np.ndarray:
+    """LOF of queries with neighbourhoods ``(dsel, isel)`` in a training
+    set of k-distances ``kdist`` and densities ``lrd``."""
+    return lrd[isel].mean(axis=1) / _reach_density(kdist, dsel, isel)
 
 
 class _Detector:
@@ -139,38 +164,17 @@ class _LofDetector(_KnnDetector):
         super().__init__(spec, X)
         # Training neighbourhoods exclude the point itself: every row is
         # at distance 0 from itself, which is what _query_loo drops.
-        ndist, self._nidx = _query_loo(self._tree, X, spec.k)
-        self._kdist = ndist[:, -1]
-        reach = np.maximum(self._kdist[self._nidx], ndist)
-        self._lrd = 1.0 / (reach.mean(axis=1) + 1e-10)
-
-    def _lof(self, dsel: np.ndarray, isel: np.ndarray) -> np.ndarray:
-        reach = np.maximum(self._kdist[isel], dsel)
-        lrd_q = 1.0 / (reach.mean(axis=1) + 1e-10)
-        return self._lrd[isel].mean(axis=1) / lrd_q
+        self._kdist, self._lrd, self._train = _lof_fit(
+            *_query_loo(self._tree, X, spec.k)
+        )
 
     def score(self, Q) -> np.ndarray:
-        return self._lof(*self._neighbours(Q))
+        return _lof_score(self._kdist, self._lrd, *self._neighbours(Q))
 
     def train_scores(self) -> np.ndarray:
         # score() of the training matrix finds the neighbourhoods and
-        # densities computed at fit, so it reduces to their ratio.
-        return self._lrd[self._nidx].mean(axis=1) / self._lrd
-
-    def neighbour_scores(self, Q) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """``{"lof": (train, test), "knn": (train, test)}`` from this fit
-        and one neighbour query of ``Q``.
-
-        The kNN pair is bit for bit what a kNN detector with this ``k``,
-        fitted on the same matrix, returns from ``train_scores()`` and
-        ``score(Q)``: the same tree answers the same queries, and a kNN
-        score is the k-distance LOF already holds.
-        """
-        dsel, isel = self._neighbours(Q)
-        return {
-            "lof": (self.train_scores(), self._lof(dsel, isel)),
-            "knn": (self._kdist.copy(), dsel[:, -1].copy()),
-        }
+        # densities computed at fit, so it reduces to _lof_fit's scores.
+        return self._train.copy()
 
 
 def _path_norm(m: float) -> float:
@@ -336,6 +340,17 @@ _FITTERS = {
 }
 
 
+def _check_rows(spec: DetectorSpec, n: int, d: int) -> None:
+    if d == 0:
+        raise DomainError("features must have at least one column, got 0")
+    if n < 2:
+        raise InsufficientData(f"need at least 2 training rows, got {n}")
+    if spec.kind in ("knn", "lof") and n < spec.k + 1:
+        raise InsufficientData(
+            f"{spec.kind} with k={spec.k} needs at least {spec.k + 1} rows, got {n}"
+        )
+
+
 def fit_detector(spec: DetectorSpec, X):
     """Fit a detector on a feature matrix.
 
@@ -353,13 +368,69 @@ def fit_detector(spec: DetectorSpec, X):
         neighbour-based detectors.
     """
     arr = _check_matrix(X).copy()
-    n, d = arr.shape
-    if d == 0:
-        raise DomainError("features must have at least one column, got 0")
-    if n < 2:
-        raise InsufficientData(f"need at least 2 training rows, got {n}")
-    if spec.kind in ("knn", "lof") and n < spec.k + 1:
-        raise InsufficientData(
-            f"{spec.kind} with k={spec.k} needs at least {spec.k + 1} rows, got {n}"
-        )
+    _check_rows(spec, *arr.shape)
     return _FITTERS[spec.kind](spec, arr)
+
+
+def fold_neighbour_scores(X, folds, kinds, k: int) -> list[dict]:
+    """kNN and LOF scores of every cross-validation fold of ``X`` from
+    one kd-tree over all its rows and one neighbour query of them.
+
+    ``folds`` is a list of ``(train_idx, test_idx)`` pairs whose test
+    parts partition the rows of ``X``, as ``bench.make_folds`` returns;
+    ``kinds`` names ``"knn"`` and/or ``"lof"``.  Returns one
+    ``{kind: (train, test)}`` per fold, bit for bit what
+    ``fit_detector(DetectorSpec(kind, k=k), X[train_idx])`` returns from
+    ``train_scores()`` and ``score(X[test_idx])``, and raises what that
+    fit raises (LOF's refusal when both kinds are asked for).
+
+    A row takes a fold's neighbourhood from the shared query only when
+    the fold's own tree provably returns the same one: at least k+2 of
+    the row's queried neighbours lie in the training fold, and the first
+    k+2 of them are at strictly increasing distances.  Any other row
+    (ties, repeated rows, too few kept) is queried on the fold's own
+    ``cKDTree``, which answers each query on its own.
+    """
+    from scipy.spatial import cKDTree
+
+    X = _check_matrix(X)
+    n, d = X.shape
+    speaker = DetectorSpec("lof" if "lof" in kinds else "knn", k=k)
+    for train_idx, _ in folds:
+        _check_rows(speaker, train_idx.size, d)
+    # A row keeps about (f-1)/f of its neighbours in a training fold of
+    # f folds; asking for 1.5 times the k+2 it needs on average leaves
+    # few rows to fall back.
+    f = len(folds)
+    n_query = min(n, -(-3 * (k + 2) * f // (2 * (f - 1))))
+    dist, idx = cKDTree(X).query(X, k=n_query, workers=-1)
+    # 32-bit row numbers halve the n x n_query index arrays, which set
+    # the research loop's peak memory.
+    idx = idx.astype(np.int32)
+    out = []
+    for train_idx, test_idx in folds:
+        pos = np.full(n, -1, dtype=np.int32)
+        pos[train_idx] = np.arange(train_idx.size)
+        fidx = pos[idx]
+        kept = fidx >= 0
+        # The first k+2 neighbours inside the training fold, nearest first.
+        first = np.argsort(~kept, axis=1, kind="stable")[:, : k + 2]
+        near = np.take_along_axis(dist, first, axis=1)
+        dsel, isel = _drop_exact(near, np.take_along_axis(fidx, first, axis=1), k)
+        # Rows outside the query lie no nearer than its last, and so no
+        # nearer than the (k+2)-th kept row: strict steps up to that row
+        # fix the fold's k+1 nearest and their order.
+        proven = (kept.sum(axis=1) >= k + 2) & (near[:, 1:] > near[:, :-1]).all(axis=1)
+        redo = np.flatnonzero(~proven)
+        if redo.size:
+            dsel[redo], isel[redo] = _query_loo(cKDTree(X[train_idx]), X[redo], k)
+        ndist, nidx = dsel[train_idx], isel[train_idx]
+        tdist, tidx = dsel[test_idx], isel[test_idx]
+        scores = {}
+        if "knn" in kinds:
+            scores["knn"] = ndist[:, -1].copy(), tdist[:, -1].copy()
+        if "lof" in kinds:
+            kdist, lrd, train = _lof_fit(ndist, nidx)
+            scores["lof"] = train, _lof_score(kdist, lrd, tdist, tidx)
+        out.append(scores)
+    return out

@@ -54,8 +54,8 @@ def _criterion(num, name, passed, detail):
 def bench_reports():
     """Full synthetic benchmark: 9 datasets x 4 detectors x 5 folds.
 
-    Each fold's detector scores are computed at once, as in
-    ``run_benchmark``, and shared across the four cost presets; each
+    Each dataset's detector scores are computed for all folds at once,
+    as in ``run_benchmark``, and shared across the four cost presets; each
     fold fits one rejector for all three methods, exactly as
     ``run_benchmark`` does per preset.
     """
@@ -64,10 +64,10 @@ def bench_reports():
     tol = ToleranceSpec(32.0)
     cache = {}
     for ds in suite:
+        scores = compute_fold_scores(ds, DETECTOR_KINDS, N_FOLDS, BENCH_SEED)
         for fold in range(N_FOLDS):
-            scores = compute_fold_scores(ds, DETECTOR_KINDS, fold, N_FOLDS, BENCH_SEED)
             for kind in DETECTOR_KINDS:
-                cache[(ds.name, kind, fold)] = scores[kind]
+                cache[(ds.name, kind, fold)] = scores[fold][kind]
     reports = {}
     for preset in COST_PRESETS:
         results = []

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import adreject.bench as bench
 from adreject.bench import (
     COST_PRESETS,
     MAX_ROWS,
@@ -28,6 +31,7 @@ from adreject.bench import (
     write_report_files,
 )
 from adreject.core import (
+    AdrejectError,
     CostSpec,
     DomainError,
     NonBinaryLabels,
@@ -35,7 +39,7 @@ from adreject.core import (
     ScoreSet,
     ToleranceSpec,
 )
-from adreject.detectors import DetectorSpec, fit_detector
+from adreject.detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
 from adreject.rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 
@@ -269,8 +273,9 @@ class TestRunTrial:
         # Mirror the DetectorSpec that compute_fold_scores builds internally.
         spec = DetectorSpec(kind="knn", seed=detector_seed(0, ds.name, "knn", 1))
         direct = run_trial(ds, spec, costs, tol, split_seed=0, fold=1)
-        # kNN answered from LOF's neighbour query, as run_benchmark does.
-        scores = compute_fold_scores(ds, ("knn", "lof"), fold=1, n_folds=5, seed=0)["knn"]
+        # kNN answered from the dataset's shared neighbour query, as
+        # run_benchmark does.
+        scores = compute_fold_scores(ds, ("knn", "lof"), n_folds=5, seed=0)[1]["knn"]
         cached = run_trial(
             ds,
             None,
@@ -449,6 +454,61 @@ class TestAggregateAndReports:
         results = run_benchmark([ds], T=8.0, n_folds=2, seed=0, scores_only=True)
         assert {r.detector for r in results} == {"precomputed"}
         assert {r.method for r in results} == set(METHODS)
+
+
+class TestRunBenchmarkRefusesBeforeWork:
+    """run_benchmark makes run_trial's label and cost checks, in the same
+    order and with the same messages, before any detector is fitted."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real_fit, real_scores = bench.fit_detector, bench.compute_fold_scores
+
+        def fit_spy(*args, **kwargs):
+            calls.append("fit_detector")
+            return real_fit(*args, **kwargs)
+
+        def scores_spy(*args, **kwargs):
+            calls.append("compute_fold_scores")
+            return real_scores(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "fit_detector", fit_spy)
+        monkeypatch.setattr(bench, "compute_fold_scores", scores_spy)
+        return calls
+
+    @staticmethod
+    def _dataset(labelled=True):
+        rng = np.random.default_rng(18)
+        labels = np.r_[np.zeros(90, int), np.ones(10, int)]
+        return Dataset(name="d", X=rng.normal(size=(100, 2)),
+                       labels=labels if labelled else None, gamma=0.1)
+
+    def _refusal(self, ds, costs):
+        with pytest.raises(AdrejectError) as trial:
+            run_trial(ds, DetectorSpec(kind="iforest"), costs, ToleranceSpec(8.0), 0, 0)
+        return type(trial.value), str(trial.value)
+
+    @pytest.mark.parametrize(
+        "labelled, costs",
+        [(True, CostSpec(1.0, 1.0, 5.0)), (False, CostSpec(1.0, 1.0, 0.05)),
+         (False, CostSpec(1.0, 1.0, 5.0))],
+        ids=["inadmissible-cost", "no-labels", "no-labels-and-inadmissible-cost"],
+    )
+    def test_no_detector_fitted(self, monkeypatch, labelled, costs):
+        ds = self._dataset(labelled)
+        expected = self._refusal(ds, costs)
+        calls = self._spy(monkeypatch)
+        with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
+            run_benchmark([ds], detector_kinds=DETECTOR_KINDS, T=8.0,
+                          custom_costs=costs)
+        assert calls == []
+
+    def test_accepted_costs_still_fit(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        run_benchmark([self._dataset()], detector_kinds=("iforest",), T=8.0, n_folds=2,
+                      custom_costs=CostSpec(1.0, 1.0, 0.05))
+        assert calls == ["compute_fold_scores", "fit_detector", "fit_detector"]
 
 
 class TestRankAuc:

@@ -328,6 +328,69 @@ class TestFeatureMode:
         assert rows[1].endswith(("anomaly", "reject"))
 
 
+    @staticmethod
+    def _fit_detector_model(tmp_path, kind):
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.normal(0, 1, (90, 3)), rng.normal(4, 1, (10, 3))])
+        train = tmp_path / "features.csv"
+        with train.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x1", "x2", "x3"])
+            w.writerows([repr(float(v)) for v in row] for row in X)
+        model = tmp_path / "model.json"
+        proc = run_cli("fit", "--train", str(train), "--gamma", "0.1", "--detector",
+                       kind, "--t-tolerance", "8", "--model-out", str(model))
+        assert proc.returncode == 0, proc.stderr
+        return model, train
+
+    @pytest.mark.parametrize("kind", ["knn", "lof", "iforest", "hbos"])
+    def test_untampered_detector_model_predicts(self, tmp_path, kind):
+        model, train = self._fit_detector_model(tmp_path, kind)
+        out = run_cli("predict", "--model", str(model), "--test", str(train))
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.splitlines()) == 1 + 100
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("knn", "k", 50),
+            ("lof", "k", 5),
+            ("iforest", "seed", 1),
+            ("iforest", "n_trees", 99),
+            ("knn", "train_matrix", None),
+            ("hbos", "train_matrix", None),
+        ],
+        ids=["knn-k", "lof-k", "iforest-seed", "iforest-n_trees",
+             "knn-train_matrix", "hbos-train_matrix"],
+    )
+    def test_tampered_detector_exit_2(self, tmp_path, kind, field, value):
+        # The block is well formed, so only re-scoring the training matrix
+        # can tell that the rejector was not fitted on this detector.
+        model, train = self._fit_detector_model(tmp_path, kind)
+        state = json.loads(model.read_text())
+        if field == "train_matrix":
+            state["detector"]["train_matrix"][7][1] += 100.0
+        else:
+            state["detector"][field] = value
+        model.write_text(json.dumps(state))
+        proc = run_cli("predict", "--model", str(model), "--test", str(train))
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "ValueError"
+        assert "does not reproduce scores_sorted" in error["message"]
+        assert proc.stdout == ""
+
+    def test_tampered_detector_refused_on_empty_test(self, tmp_path):
+        model, _ = self._fit_detector_model(tmp_path, "knn")
+        state = json.loads(model.read_text())
+        state["detector"]["k"] = 3
+        model.write_text(json.dumps(state))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x1,x2,x3\n")
+        proc = run_cli("predict", "--model", str(model), "--test", str(empty))
+        assert proc.returncode == 2, proc.stderr
+        assert "scores_sorted" in json.loads(proc.stderr)["error"]["message"]
+
     def test_label_column_only_exit_2(self, tmp_path):
         train = tmp_path / "labels.csv"
         train.write_text("label\n" + "0\n" * 30 + "1\n" * 3)
@@ -456,6 +519,16 @@ class TestBench:
         assert error["type"] == "DomainError"
         assert message in error["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_inadmissible_costs_skip_the_dataset(self, tmp_path):
+        data = self._write_dataset(tmp_path)
+        proc = run_cli("bench", "--data-dir", str(data), "--costs", "1,1,5",
+                       "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "skipping toy: c_r=5.0 exceeds min((1-gamma)*c_fp, gamma*c_fn)=0.1\n"
+            "all datasets failed\n"
+        )
 
     def test_empty_data_dir_exit_2(self, tmp_path):
         empty = tmp_path / "none"

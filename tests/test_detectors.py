@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.spatial
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adreject.core import DimensionMismatch, DomainError, InsufficientData, NonFiniteInput
-import adreject.bench as bench
 import adreject.detectors as detectors
 from adreject.bench import Dataset, compute_fold_scores, detector_seed, make_folds
 from adreject.detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
@@ -278,9 +280,21 @@ class TestTrainScores:
         assert det.train_scores().tobytes() == before.tobytes()
 
 
+def _assert_fold_fits(got, X, folds, k):
+    """``got`` holds, per fold, what kNN/LOF fitted on the training fold
+    return, bit for bit."""
+    assert len(got) == len(folds)
+    for scores, (train_idx, test_idx) in zip(got, folds):
+        for kind, (train, test) in scores.items():
+            det = fit_detector(DetectorSpec(kind=kind, k=k), X[train_idx])
+            assert train.tobytes() == det.train_scores().tobytes()
+            assert test.tobytes() == det.score(X[test_idx]).tobytes()
+
+
 class TestSharedNeighbourScores:
-    """kNN answered from LOF's kd-tree and neighbour query must equal a
-    kNN detector of its own, and LOF must not change."""
+    """kNN and LOF of every fold from one kd-tree and one neighbour query
+    of the whole matrix must equal detectors fitted on each training
+    fold, bit for bit."""
 
     @pytest.mark.parametrize("data", ["normal", "wide", "tied-grid", "int-ties"])
     @pytest.mark.parametrize(
@@ -290,34 +304,130 @@ class TestSharedNeighbourScores:
     def test_compute_fold_scores_equal_separate_fits(self, data, kinds):
         X = TestTrainScores._train_sets()[data]
         ds = Dataset(name=data, X=X, labels=None, gamma=0.1)
-        got = compute_fold_scores(ds, kinds, fold=1, n_folds=4, seed=5)
-        assert list(got) == list(kinds)
-        train_idx, test_idx = make_folds(ds.n, 4, 5, ds.name)[1]
-        for kind in kinds:
-            spec = DetectorSpec(kind=kind, seed=detector_seed(5, ds.name, kind, 1))
-            det = fit_detector(spec, X[train_idx])
-            train, test = got[kind]
-            assert train.tobytes() == det.train_scores().tobytes()
-            assert test.tobytes() == det.score(X[test_idx]).tobytes()
+        got = compute_fold_scores(ds, kinds, n_folds=4, seed=5)
+        folds = make_folds(ds.n, 4, 5, ds.name)
+        assert len(got) == len(folds)
+        for fold, (train_idx, test_idx) in enumerate(folds):
+            assert list(got[fold]) == list(kinds)
+            for kind in kinds:
+                spec = DetectorSpec(kind=kind, seed=detector_seed(5, ds.name, kind, fold))
+                det = fit_detector(spec, X[train_idx])
+                train, test = got[fold][kind]
+                assert train.tobytes() == det.train_scores().tobytes()
+                assert test.tobytes() == det.score(X[test_idx]).tobytes()
 
     @pytest.mark.parametrize("knn_k, lof_k", [(5, 5), (5, 8), (8, 5)])
     def test_shared_only_at_equal_k(self, monkeypatch, knn_k, lof_k):
+        # One tree over the whole matrix answers both kinds at one k; at
+        # two values of k each kind makes its own query.
         X = TestTrainScores._train_sets()["int-ties"]
-        train, queries = X[:400], X[400:]
-        fitted = []
+        folds = make_folds(X.shape[0], 3, 0)
+        whole_trees = []
+        real_tree = scipy.spatial.cKDTree
 
-        def counting_fit(spec, X):
-            fitted.append(spec.kind)
-            return fit_detector(spec, X)
+        def counting_tree(data, *args, **kwargs):
+            whole_trees.append(len(data) == len(X))
+            return real_tree(data, *args, **kwargs)
 
-        monkeypatch.setattr(bench, "fit_detector", counting_fit)
-        specs = [DetectorSpec(kind="knn", k=knn_k), DetectorSpec(kind="lof", k=lof_k)]
-        got = bench._score_fold(specs, train, queries)
-        assert fitted == (["lof"] if knn_k == lof_k else ["knn", "lof"])
-        for spec, (s_train, s_test) in zip(specs, got):
-            det = fit_detector(spec, train)
-            assert s_train.tobytes() == det.train_scores().tobytes()
-            assert s_test.tobytes() == det.score(queries).tobytes()
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
+        if knn_k == lof_k:
+            got = detectors.fold_neighbour_scores(X, folds, ("knn", "lof"), knn_k)
+        else:
+            knn = detectors.fold_neighbour_scores(X, folds, ("knn",), knn_k)
+            lof = detectors.fold_neighbour_scores(X, folds, ("lof",), lof_k)
+            got = [{**a, **b} for a, b in zip(knn, lof)]
+        monkeypatch.undo()
+        assert sum(whole_trees) == (1 if knn_k == lof_k else 2)
+        for scores, (train_idx, test_idx) in zip(got, folds):
+            assert list(scores) == ["knn", "lof"]
+            for kind, k in (("knn", knn_k), ("lof", lof_k)):
+                det = fit_detector(DetectorSpec(kind=kind, k=k), X[train_idx])
+                assert scores[kind][0].tobytes() == det.train_scores().tobytes()
+                assert scores[kind][1].tobytes() == det.score(X[test_idx]).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        d=st.integers(1, 5),
+        k=st.integers(1, 8),
+        n_folds=st.integers(2, 6),
+        grid=st.sampled_from([None, 2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_to_fold_fits(self, n, d, k, n_folds, grid, seed):
+        # grid=None: continuous rows; otherwise integers 0..grid-1, with
+        # repeated rows and tied distances.
+        assume(n >= k + 2 and n_folds <= n and n - -(-n // n_folds) >= k + 1)
+        rng = np.random.default_rng(seed)
+        if grid is None:
+            X = rng.normal(size=(n, d))
+        else:
+            X = rng.integers(0, grid, size=(n, d)).astype(float)
+        folds = make_folds(n, n_folds, seed)
+        got = detectors.fold_neighbour_scores(X, folds, ("knn", "lof"), k)
+        _assert_fold_fits(got, X, folds, k)
+
+    @staticmethod
+    def _fallback_rows(monkeypatch, X, folds, k):
+        """Scores, and how many rows were queried again on a fold's tree."""
+        rows = []
+        real_query = detectors._query_loo
+
+        def counting_query(tree, Q, k):
+            rows.append(len(Q))
+            return real_query(tree, Q, k)
+
+        monkeypatch.setattr(detectors, "_query_loo", counting_query)
+        got = detectors.fold_neighbour_scores(X, folds, ("knn", "lof"), k)
+        monkeypatch.undo()
+        return got, sum(rows)
+
+    def test_every_row_falls_back(self, monkeypatch):
+        # Four points, each 15 times: every row has several training rows
+        # at distance 0 in every fold, so no shared answer is proven.
+        X = np.repeat(np.random.default_rng(63).normal(size=(4, 2)), 15, axis=0)
+        folds = make_folds(len(X), 5, 0)
+        got, requeried = self._fallback_rows(monkeypatch, X, folds, 3)
+        assert requeried == len(X) * len(folds)
+        _assert_fold_fits(got, X, folds, 3)
+
+    def test_no_row_falls_back(self, monkeypatch):
+        # k=8 over 2 folds asks for 30 neighbours: of 30 distinct rows
+        # every row sees every training row, 15 of them, at distinct
+        # distances, so every neighbourhood is proven.
+        X = np.random.default_rng(64).normal(size=(30, 2))
+        folds = make_folds(len(X), 2, 0)
+        got, requeried = self._fallback_rows(monkeypatch, X, folds, 8)
+        assert requeried == 0
+        _assert_fold_fits(got, X, folds, 8)
+
+    @pytest.mark.parametrize(
+        "kinds, speaker",
+        [
+            (("knn",), "knn"),
+            (("lof",), "lof"),
+            (("knn", "lof"), "lof"),
+            (("lof", "knn"), "lof"),
+            (("iforest", "knn"), "knn"),
+            (("hbos", "lof", "knn"), "lof"),
+            (DETECTOR_KINDS, "lof"),
+        ],
+    )
+    def test_small_training_fold_refused_as_a_fold_fit(self, kinds, speaker):
+        # 12 rows in 2 folds leave 6 training rows for k=10: the error a
+        # detector fitted on that fold raises (LOF's when both kinds are
+        # asked for), before any neighbour query.
+        ds = Dataset(name="small", X=np.random.default_rng(65).normal(size=(12, 2)),
+                     labels=None, gamma=0.1)
+        message = f"{speaker} with k=10 needs at least 11 rows, got 6"
+        with pytest.raises(InsufficientData, match=f"^{message}$"):
+            compute_fold_scores(ds, kinds, n_folds=2, seed=0)
+
+    def test_small_training_fold_left_to_other_kinds(self):
+        ds = Dataset(name="small", X=np.random.default_rng(65).normal(size=(12, 2)),
+                     labels=None, gamma=0.1)
+        got = compute_fold_scores(ds, ("iforest", "hbos"), n_folds=2, seed=0)
+        assert [list(scores) for scores in got] == [["iforest", "hbos"]] * 2
 
 
 class TestHbos:
