@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 import zlib
 from dataclasses import dataclass, fields
@@ -43,7 +44,7 @@ from .core import (
     ToleranceSpec,
     validate_cost_spec,
 )
-from .detectors import DetectorSpec, fit_detector, fold_neighbour_scores
+from .detectors import DetectorSpec, _check_rows, fit_detector, fold_neighbour_scores
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 __all__ = [
@@ -332,6 +333,46 @@ def make_folds(
     return folds
 
 
+def _fit_fold(X, folds, spec: DetectorSpec, fold: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) scores of ``spec`` fitted on training fold ``fold``."""
+    train_idx, test_idx = folds[fold]
+    det = fit_detector(spec, X[train_idx])
+    return det.train_scores(), det.score(X[test_idx])
+
+
+# A pool worker's dataset matrix and folds, set once by the pool's
+# initializer: a forked worker inherits them without pickling.
+_worker_data: tuple = ()
+
+
+def _inherit(X, folds) -> None:
+    global _worker_data
+    _worker_data = X, folds
+
+
+def _fit_inherited(spec: DetectorSpec, fold: int) -> tuple[np.ndarray, np.ndarray]:
+    return _fit_fold(*_worker_data, spec, fold)
+
+
+def _fold_fitter(X, folds, n_tasks: int):
+    """A pool of forked workers, one per CPU this process may use (at
+    most ``n_tasks``), that share ``X`` and ``folds``; ``None`` when that
+    is one worker or the platform cannot fork."""
+    # Imported here: only the research loop pays for them.
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_workers = min(cpus, n_tasks)
+    if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, so the workers inherit X and folds instead of unpickling a
+    # copy.  The executor forks them all before it starts its own thread.
+    return ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit, initargs=(X, folds))
+
+
 def compute_fold_scores(
     dataset: Dataset, kinds: tuple[str, ...], n_folds: int, seed: int
 ) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
@@ -340,24 +381,48 @@ def compute_fold_scores(
     returns from ``train_scores()`` and ``score`` of the test fold.
 
     kNN and LOF answer every fold from one kd-tree over the dataset and
-    one neighbour query of its rows (``fold_neighbour_scores``); the
-    other kinds are fitted per fold.  Seeding matches
-    :func:`run_benchmark`, so callers can precompute a score cache and
-    replay trials for several cost presets without refitting detectors
-    or changing any output.
+    one neighbour query of its rows (``fold_neighbour_scores``).  The
+    other kinds are fitted and scored per fold in forked worker
+    processes, one per CPU this process may use, which inherit the
+    dataset instead of receiving it pickled; they run while the parent
+    makes the neighbour query.  With one usable CPU, or without a
+    ``fork`` start method or ``os.sched_getaffinity``, the same fits
+    run in this process.  Every fold-size
+    refusal comes before any worker starts; a failing fit raises its
+    own exception, the first in fold order, and no worker outlives the
+    call.  Seeding matches :func:`run_benchmark`, so callers can
+    precompute a score cache and replay trials for several cost presets
+    without refitting detectors or changing any output.
     """
+    X = dataset.X
     folds = make_folds(dataset.n, n_folds, seed, dataset.name)
     # Built first, so an unknown kind is refused before any work.
     specs = {kind: DetectorSpec(kind=kind) for kind in kinds}
     near = [kind for kind in specs if kind in ("knn", "lof")]
-    per_fold = (fold_neighbour_scores(dataset.X, folds, near, specs[near[0]].k)
-                if near else [{} for _ in folds])
-    for fold, ((train_idx, test_idx), scores) in enumerate(zip(folds, per_fold)):
-        for kind in [kind for kind in specs if kind not in scores]:
-            seeded = DetectorSpec(kind=kind,
-                                  seed=detector_seed(seed, dataset.name, kind, fold))
-            det = fit_detector(seeded, dataset.X[train_idx])
-            scores[kind] = det.train_scores(), det.score(dataset.X[test_idx])
+    fitted = [kind for kind in specs if kind not in near]
+    # fold_neighbour_scores refuses a fold as LOF when both kinds are
+    # asked for; the fitted kinds refuse as fit_detector does.
+    speakers = (["lof" if "lof" in near else "knn"] if near else []) + fitted
+    for kind in speakers:
+        for train_idx, _ in folds:
+            _check_rows(specs[kind], train_idx.size, X.shape[1])
+    tasks = [(DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold)),
+              fold) for fold in range(n_folds) for kind in fitted]
+    pool = _fold_fitter(X, folds, len(tasks))
+    try:
+        if pool is None:
+            # Lazy: the fits run, and raise, after the neighbour query.
+            fits = (_fit_fold(X, folds, *task) for task in tasks)
+        else:
+            futures = [pool.submit(_fit_inherited, *task) for task in tasks]
+            fits = (future.result() for future in futures)
+        per_fold = (fold_neighbour_scores(X, folds, near, specs[near[0]].k)
+                    if near else [{} for _ in folds])
+        for (spec, fold), scores in zip(tasks, fits):
+            per_fold[fold][spec.kind] = scores
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return [{kind: scores[kind] for kind in kinds} for scores in per_fold]
 
 

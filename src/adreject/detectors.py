@@ -235,11 +235,14 @@ class _IForestDetector(_Detector):
                 if usable.size == 0:
                     continue
                 f = int(usable[rng.integers(usable.size)])
-                split = float(rng.uniform(mins[f], maxs[f]))
-                if split == mins[f]:
-                    # uniform() may return its lower edge; keep both children
+                lo, hi = float(mins[f]), float(maxs[f])
+                # Bit for bit rng.uniform(lo, hi): fit_detector refused
+                # any column whose range overflows, so hi - lo is finite.
+                split = lo + (hi - lo) * rng.random()
+                if split == lo:
+                    # The draw may return its lower edge; keep both children
                     # nonempty by moving the split just above the minimum.
-                    split = float(np.nextafter(split, maxs[f]))
+                    split = math.nextafter(lo, hi)
                 go_left = part[:, f] < split
                 feat[node] = f
                 thr[node] = split
@@ -351,6 +354,18 @@ def _check_rows(spec: DetectorSpec, n: int, d: int) -> None:
         )
 
 
+def _check_ranges(spec: DetectorSpec, X: np.ndarray) -> None:
+    # The forest draws its splits and HBOS its bin edges across a
+    # column's range, which must be a finite float.
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(X.max(axis=0) - X.min(axis=0)))
+    if wide.size:
+        raise DomainError(
+            f"{spec.kind}: the range of feature column {int(wide[0])} "
+            "overflows a float (max - min is infinite)"
+        )
+
+
 def fit_detector(spec: DetectorSpec, X):
     """Fit a detector on a feature matrix.
 
@@ -363,12 +378,16 @@ def fit_detector(spec: DetectorSpec, X):
     DomainError
         A matrix with no feature columns, or a complex one (``score``
         refuses a complex query the same way).
+        For ``iforest`` and ``hbos``, also a column whose range
+        ``max - min`` overflows a float.
     InsufficientData
         Fewer than 2 rows, or fewer than ``k + 1`` rows for the
         neighbour-based detectors.
     """
     arr = _check_matrix(X).copy()
     _check_rows(spec, *arr.shape)
+    if spec.kind in ("iforest", "hbos"):
+        _check_ranges(spec, arr)
     return _FITTERS[spec.kind](spec, arr)
 
 

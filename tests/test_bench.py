@@ -1,3 +1,4 @@
+import multiprocessing
 import re
 
 import numpy as np
@@ -34,6 +35,7 @@ from adreject.core import (
     AdrejectError,
     CostSpec,
     DomainError,
+    InsufficientData,
     NonBinaryLabels,
     NonFiniteInput,
     ScoreSet,
@@ -461,21 +463,29 @@ class TestRunBenchmarkRefusesBeforeWork:
     order and with the same messages, before any detector is fitted."""
 
     @staticmethod
-    def _spy(monkeypatch):
-        calls = []
+    def _spy(monkeypatch, tmp_path):
+        # The fold fits run in forked workers, which inherit the patches:
+        # each call appends a line to one file, so the log sees every
+        # process.
+        log = tmp_path / "calls.log"
+        log.touch()
         real_fit, real_scores = bench.fit_detector, bench.compute_fold_scores
 
+        def record(name):
+            with log.open("a") as fh:
+                fh.write(name + "\n")
+
         def fit_spy(*args, **kwargs):
-            calls.append("fit_detector")
+            record("fit_detector")
             return real_fit(*args, **kwargs)
 
         def scores_spy(*args, **kwargs):
-            calls.append("compute_fold_scores")
+            record("compute_fold_scores")
             return real_scores(*args, **kwargs)
 
         monkeypatch.setattr(bench, "fit_detector", fit_spy)
         monkeypatch.setattr(bench, "compute_fold_scores", scores_spy)
-        return calls
+        return lambda: log.read_text().splitlines()
 
     @staticmethod
     def _dataset(labelled=True):
@@ -495,20 +505,109 @@ class TestRunBenchmarkRefusesBeforeWork:
          (False, CostSpec(1.0, 1.0, 5.0))],
         ids=["inadmissible-cost", "no-labels", "no-labels-and-inadmissible-cost"],
     )
-    def test_no_detector_fitted(self, monkeypatch, labelled, costs):
+    def test_no_detector_fitted(self, monkeypatch, tmp_path, labelled, costs):
         ds = self._dataset(labelled)
         expected = self._refusal(ds, costs)
-        calls = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch, tmp_path)
         with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
             run_benchmark([ds], detector_kinds=DETECTOR_KINDS, T=8.0,
                           custom_costs=costs)
-        assert calls == []
+        assert calls() == []
 
-    def test_accepted_costs_still_fit(self, monkeypatch):
-        calls = self._spy(monkeypatch)
+    def test_accepted_costs_still_fit(self, monkeypatch, tmp_path):
+        calls = self._spy(monkeypatch, tmp_path)
         run_benchmark([self._dataset()], detector_kinds=("iforest",), T=8.0, n_folds=2,
                       custom_costs=CostSpec(1.0, 1.0, 0.05))
-        assert calls == ["compute_fold_scores", "fit_detector", "fit_detector"]
+        assert calls() == ["compute_fold_scores", "fit_detector", "fit_detector"]
+
+
+class TestFoldWorkers:
+    """compute_fold_scores fits iforest and HBOS in forked workers, one per
+    usable CPU, or in this process with one CPU: the same scores and the
+    same errors either way, and no worker left behind."""
+
+    @staticmethod
+    def _pools(monkeypatch):
+        """Records, per call, whether compute_fold_scores made a pool."""
+        real, made = bench._fold_fitter, []
+
+        def fitter(*args):
+            pool = real(*args)
+            made.append(pool is not None)
+            return pool
+
+        monkeypatch.setattr(bench, "_fold_fitter", fitter)
+        return made
+
+    @staticmethod
+    def _scores(monkeypatch, cpus, *args):
+        # Two usable CPUs make a pool whatever the machine has.
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        try:
+            return compute_fold_scores(*args)
+        finally:
+            assert multiprocessing.active_children() == []
+
+    def _raised(self, monkeypatch, cpus, *args):
+        with pytest.raises(AdrejectError) as info:
+            self._scores(monkeypatch, cpus, *args)
+        return type(info.value), str(info.value)
+
+    @staticmethod
+    def _data(name):
+        rng = np.random.default_rng(66)
+        X = {
+            "normal": rng.normal(size=(400, 5)),
+            # Small integers: repeated rows and tied distances.
+            "tied": rng.integers(0, 4, size=(500, 3)).astype(float),
+        }[name]
+        return Dataset(name=name, X=X, labels=None, gamma=0.1)
+
+    @pytest.mark.parametrize("data", ["normal", "tied"])
+    @pytest.mark.parametrize("kinds", [DETECTOR_KINDS, ("iforest", "hbos")],
+                             ids=["all", "iforest-hbos"])
+    def test_pool_scores_equal_in_process(self, monkeypatch, data, kinds):
+        made = self._pools(monkeypatch)
+        args = (self._data(data), kinds, 4, 7)
+        serial = self._scores(monkeypatch, 1, *args)
+        pooled = self._scores(monkeypatch, 2, *args)
+        assert made == [False, True]
+        assert len(pooled) == len(serial) == 4
+        for a, b in zip(serial, pooled):
+            assert list(a) == list(b) == list(kinds)
+            for kind in kinds:
+                assert a[kind][0].tobytes() == b[kind][0].tobytes()
+                assert a[kind][1].tobytes() == b[kind][1].tobytes()
+
+    @pytest.mark.parametrize("kinds, first", [
+        (("iforest", "hbos"), "iforest"),
+        (("hbos", "iforest"), "hbos"),
+    ])
+    def test_overflowing_column_raises_as_in_process(self, monkeypatch, kinds, first):
+        # The row at -1e308 is in fold 2's test part, so training folds 0
+        # and 1 span a range of 2e308, which overflows.
+        X = np.random.default_rng(67).normal(size=(60, 2))
+        X[:, 1] = 1e308
+        _, test_idx = make_folds(60, 3, 0, "wide")[2]
+        X[test_idx[0], 1] = -1e308
+        made = self._pools(monkeypatch)
+        args = (Dataset(name="wide", X=X, labels=None, gamma=0.1), kinds, 3, 0)
+        expected = self._raised(monkeypatch, 1, *args)
+        assert expected == (DomainError, f"{first}: the range of feature column 1 "
+                            "overflows a float (max - min is infinite)")
+        assert self._raised(monkeypatch, 2, *args) == expected
+        assert made == [False, True]
+
+    @pytest.mark.parametrize("kinds", [("iforest", "hbos"), ("hbos", "knn")])
+    def test_small_fold_refused_before_any_worker(self, monkeypatch, kinds):
+        # Two rows in two folds leave one training row per fold.
+        made = self._pools(monkeypatch)
+        ds = Dataset(name="tiny", X=[[0.0], [1.0]], labels=None, gamma=0.0)
+        expected = self._raised(monkeypatch, 1, ds, kinds, 2, 0)
+        assert expected[0] is InsufficientData
+        assert self._raised(monkeypatch, 2, ds, kinds, 2, 0) == expected
+        assert made == []
 
 
 class TestRankAuc:

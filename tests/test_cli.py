@@ -391,6 +391,20 @@ class TestFeatureMode:
         assert proc.returncode == 2, proc.stderr
         assert "scores_sorted" in json.loads(proc.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize("kind", ["iforest", "hbos"])
+    def test_overflowing_range_exit_2(self, tmp_path, kind):
+        train = tmp_path / "wide.csv"
+        train.write_text("x1,x2\n" + "".join(f"{i},{v}\n" for i, v in
+                                             enumerate([1e308, -1e308] * 10)))
+        proc = run_cli("fit", "--train", str(train), "--gamma", "0.1",
+                       "--detector", kind, "--model-out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "DomainError",
+            "message": f"{kind}: the range of feature column 1 overflows a float "
+                       "(max - min is infinite)",
+        }
+
     def test_label_column_only_exit_2(self, tmp_path):
         train = tmp_path / "labels.csv"
         train.write_text("label\n" + "0\n" * 30 + "1\n" * 3)
@@ -529,6 +543,19 @@ class TestBench:
             "skipping toy: c_r=5.0 exceeds min((1-gamma)*c_fp, gamma*c_fn)=0.1\n"
             "all datasets failed\n"
         )
+
+    def test_overflowing_range_skips_the_dataset(self, tmp_path):
+        data = self._write_dataset(tmp_path)
+        rows = "".join(f"{i % 3},{v},{i % 10 == 0:d}\n"
+                       for i, v in enumerate([1e308, -1e308] * 50))
+        (data / "wide.csv").write_text("x1,x2,label\n" + rows)
+        out = tmp_path / "o"
+        proc = run_cli("bench", "--data-dir", str(data), "--detectors", "hbos",
+                       "--folds", "2", "--t-tolerance", "8", "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("skipping wide: hbos: the range of feature column 1 "
+                               "overflows a float (max - min is infinite)\n")
+        assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
 
     def test_empty_data_dir_exit_2(self, tmp_path):
         empty = tmp_path / "none"

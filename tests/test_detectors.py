@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -82,6 +84,18 @@ class TestMatrixValidation:
     def test_knn_needs_k_plus_one_rows(self):
         with pytest.raises(InsufficientData):
             fit_detector(DetectorSpec(kind="knn", k=3), [[0.0], [1.0], [2.0]])
+
+    @pytest.mark.parametrize("kind", ["iforest", "hbos"])
+    def test_overflowing_range_refused(self, kind):
+        # Both ends are finite, but max - min = 2e308 is not.
+        X = np.column_stack([np.arange(4.0), [1e308, -1e308, 0.0, 1.0]])
+        message = (f"{kind}: the range of feature column 1 overflows a float "
+                   "(max - min is infinite)")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fit_detector(DetectorSpec(kind=kind), X)
+        # A range of 1.1e308 stays finite and is accepted.
+        X[0, 1] = 1e307
+        assert np.isfinite(fit_detector(DetectorSpec(kind=kind), X).train_scores()).all()
 
 
 class TestKnn:

@@ -100,19 +100,30 @@ def test_research_loop_fits_each_rejector_inside_run_trial(monkeypatch):
 
 
 _IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
 import numpy as np
 import adreject, adreject.cli
 from adreject import DetectorSpec, fit_detector
 
+MODULES = ("scipy.stats", "scipy.spatial", "multiprocessing", "concurrent.futures.process")
+
 def loaded():
-    return {name: name in sys.modules for name in ("scipy.stats", "scipy.spatial")}
+    return {name: name in sys.modules for name in MODULES}
 
 steps = {"import": loaded()}
 X = np.random.default_rng(0).normal(size=(50, 3))
 for kind in ("iforest", "hbos"):
     fit_detector(DetectorSpec(kind=kind), X).score(X)
 steps["iforest+hbos"] = loaded()
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    data, model = Path(tmp, "x.csv"), Path(tmp, "model.json")
+    rows = "".join(",".join(map(repr, row)) + "\\n" for row in X.tolist())
+    data.write_text("a,b,c\\n" + rows)
+    codes = [adreject.cli.main(["fit", "--train", str(data), "--gamma", "0.1",
+                                "--detector", "iforest", "--model-out", str(model)]),
+             adreject.cli.main(["predict", "--model", str(model), "--test", str(data)])]
+steps["cli"] = {"codes": codes, **loaded()}
 fit_detector(DetectorSpec(kind="knn"), X).score(X)
 steps["knn"] = loaded()
 print(json.dumps(steps))
@@ -120,6 +131,7 @@ print(json.dumps(steps))
 
 
 def test_imports_load_no_stats_and_spatial_only_for_a_kd_tree():
+    # Nor the process pool: only the research loop's fold fits use it.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
@@ -127,9 +139,12 @@ def test_imports_load_no_stats_and_spatial_only_for_a_kd_tree():
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    assert steps["import"] == {"scipy.stats": False, "scipy.spatial": False}
-    assert steps["iforest+hbos"] == {"scipy.stats": False, "scipy.spatial": False}
-    assert steps["knn"] == {"scipy.stats": False, "scipy.spatial": True}
+    none = {"scipy.stats": False, "scipy.spatial": False, "multiprocessing": False,
+            "concurrent.futures.process": False}
+    assert steps["import"] == none
+    assert steps["iforest+hbos"] == none
+    assert steps["cli"] == {"codes": [0, 0], **none}
+    assert steps["knn"] == {**none, "scipy.spatial": True}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
