@@ -9,7 +9,8 @@ cost.
 
 The names below are the public surface.  Helpers such as
 ``adreject.stability.rejection_cutoffs``, ``adreject.bounds.band_edges``
-or ``adreject.bench.run_trial`` stay importable from their modules.
+or ``adreject.bench.run_trial`` (one fold's trials from the scores it
+is given) stay importable from their modules.
 """
 
 from .core import (

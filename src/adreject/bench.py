@@ -1,7 +1,8 @@
 """Benchmark harness: datasets, cross-validated trials, reports.
 
-Each trial fits a detector on a training fold, scores train and test,
-fits the rejector on the training scores, and charges the test fold
+Each dataset is split into cross-validation folds once.  A detector is
+fitted on each training fold and scores train and test; each trial
+fits the rejector on the training scores and charges the test fold
 ``c_fp`` per accepted false positive, ``c_fn`` per accepted false
 negative, and ``c_r`` per rejection.  Three methods are compared:
 
@@ -374,11 +375,13 @@ def _fold_fitter(X, folds, n_tasks: int):
 
 
 def compute_fold_scores(
-    dataset: Dataset, kinds: tuple[str, ...], n_folds: int, seed: int
+    dataset: Dataset, kinds: tuple[str, ...], folds: list, seed: int
 ) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Each fold's detector scores, ``{kind: (train, test)}`` in fold
     order: bit for bit what ``fit_detector`` on the training fold
     returns from ``train_scores()`` and ``score`` of the test fold.
+    ``folds`` is the dataset's fold plan as :func:`make_folds` returns
+    it; ``seed`` seeds each fold's detector (:func:`detector_seed`).
 
     kNN and LOF answer every fold from one kd-tree over the dataset and
     one neighbour query of its rows (``fold_neighbour_scores``).  The
@@ -390,12 +393,11 @@ def compute_fold_scores(
     run in this process.  Every fold-size
     refusal comes before any worker starts; a failing fit raises its
     own exception, the first in fold order, and no worker outlives the
-    call.  Seeding matches :func:`run_benchmark`, so callers can
+    call.  With ``run_benchmark``'s folds and seed, callers can
     precompute a score cache and replay trials for several cost presets
     without refitting detectors or changing any output.
     """
     X = dataset.X
-    folds = make_folds(dataset.n, n_folds, seed, dataset.name)
     # Built first, so an unknown kind is refused before any work.
     specs = {kind: DetectorSpec(kind=kind) for kind in kinds}
     near = [kind for kind in specs if kind in ("knn", "lof")]
@@ -407,7 +409,7 @@ def compute_fold_scores(
         for train_idx, _ in folds:
             _check_rows(specs[kind], train_idx.size, X.shape[1])
     tasks = [(DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold)),
-              fold) for fold in range(n_folds) for kind in fitted]
+              fold) for fold in range(len(folds)) for kind in fitted]
     pool = _fold_fitter(X, folds, len(tasks))
     try:
         if pool is None:
@@ -459,40 +461,26 @@ def _check_costable(dataset: Dataset, costs: CostSpec) -> None:
 
 def run_trial(
     dataset: Dataset,
-    detector_spec: DetectorSpec | None,
+    split: tuple[np.ndarray, np.ndarray],
+    fold: int,
+    scores: tuple[np.ndarray, np.ndarray],
+    detector_name: str,
     costs: CostSpec,
     tol: ToleranceSpec,
-    split_seed: int,
-    fold: int,
-    n_folds: int = 5,
     delta: float = 0.05,
-    scores: tuple[np.ndarray, np.ndarray] | None = None,
-    detector_name: str | None = None,
 ) -> list[TrialResult]:
-    """Run one cross-validation fold: one trial per method of
-    :data:`METHODS`, in order.
+    """Evaluate one cross-validation fold: one trial per method of
+    :data:`METHODS`, in order, recorded under ``detector_name`` and
+    ``fold``.
 
-    The detector, the rejector fit and the test predictions are shared
-    by all methods.  ``scores`` optionally carries precomputed (train,
-    test) detector scores for this exact fold; passing it changes
-    nothing but wall time.  With ``detector_spec=None`` the scores are
-    mandatory and the trials are recorded under ``detector_name``
-    (default ``"precomputed"``).
+    ``split`` is the fold's ``(train_idx, test_idx)`` and ``scores`` the
+    detector's ``(train, test)`` scores on it, as :func:`make_folds` and
+    :func:`compute_fold_scores` give them.  The rejector fit and the test
+    predictions are shared by all methods.
     """
     _check_costable(dataset, costs)
-    folds = make_folds(dataset.n, n_folds, split_seed, dataset.name)
-    if not (0 <= fold < n_folds):
-        raise DomainError(f"fold must lie in [0, {n_folds}), got {fold}")
-    train_idx, test_idx = folds[fold]
-    if scores is None:
-        if detector_spec is None:
-            raise DomainError("a trial needs a detector spec or precomputed scores")
-        det = fit_detector(detector_spec, dataset.X[train_idx])
-        s_train, s_test = det.train_scores(), det.score(dataset.X[test_idx])
-    else:
-        s_train, s_test = scores
-    if detector_name is None:
-        detector_name = detector_spec.kind if detector_spec is not None else "precomputed"
+    train_idx, test_idx = split
+    s_train, s_test = scores
     train_set = ScoreSet(s_train, dataset.gamma)
     rej = fit(train_set, tol, delta)
     y_train = dataset.labels[train_idx].astype(bool)
@@ -747,9 +735,10 @@ def run_benchmark(
     custom_costs: CostSpec | None = None,
     scores_only: bool = False,
 ) -> list[TrialResult]:
-    """Run the full trial grid: each dataset's detectors scored on every
-    fold at once (:func:`compute_fold_scores`), then one
-    :func:`run_trial` per fold and detector.
+    """Run the full trial grid: each dataset's fold plan made once
+    (:func:`make_folds`), its detectors scored on every fold at once
+    (:func:`compute_fold_scores`), then one :func:`run_trial` per fold
+    and detector.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
@@ -762,8 +751,8 @@ def run_benchmark(
         )
         # run_trial's own checks, made before any detector work.
         _check_costable(dataset, costs)
+        folds = make_folds(dataset.n, n_folds, seed, dataset.name)
         if scores_only:
-            folds = make_folds(dataset.n, n_folds, seed, dataset.name)
             if dataset.X.shape[1] != 1:
                 raise DomainError(
                     f"dataset {dataset.name}: scores-only mode needs exactly one "
@@ -774,12 +763,10 @@ def run_benchmark(
                            for train_idx, test_idx in folds]
         else:
             kinds = detector_kinds
-            fold_scores = compute_fold_scores(dataset, kinds, n_folds, seed)
+            fold_scores = compute_fold_scores(dataset, kinds, folds, seed)
         # Kind-major: the report's float means are summed in result order.
         for kind in kinds:
-            for fold, scores in enumerate(fold_scores):
-                results += run_trial(
-                    dataset, None, costs, tol, seed, fold, n_folds=n_folds,
-                    delta=delta, scores=scores[kind], detector_name=kind,
-                )
+            for fold, (split, scores) in enumerate(zip(folds, fold_scores)):
+                results += run_trial(dataset, split, fold, scores[kind], kind,
+                                     costs, tol, delta)
     return results

@@ -103,11 +103,16 @@ def _drop_exact(dist: np.ndarray, idx: np.ndarray, k: int):
 def _query_loo(tree, Q: np.ndarray, k: int):
     """k nearest training rows of a ``cKDTree`` per query, discarding
     one exact match (``_drop_exact``); distances and indices of shape
-    (m, k)."""
+    (m, k).  Refuses a neighbour whose distance overflows a float."""
     # Each query is answered on its own, so spreading them over all cores
     # returns the same distances and indices.
     dist, idx = tree.query(Q, k=k + 1, workers=-1)
-    return _drop_exact(np.atleast_2d(dist), np.atleast_2d(idx), k)
+    dsel, isel = _drop_exact(np.atleast_2d(dist), np.atleast_2d(idx), k)
+    # cKDTree reports a neighbour at an overflowing distance as missing:
+    # distance inf at index n.
+    if np.isinf(dsel).any():
+        raise DomainError("a nearest-neighbour distance overflows a float")
+    return dsel, isel
 
 
 def _reach_density(kdist: np.ndarray, dsel: np.ndarray, isel: np.ndarray) -> np.ndarray:
@@ -379,7 +384,9 @@ def fit_detector(spec: DetectorSpec, X):
         A matrix with no feature columns, or a complex one (``score``
         refuses a complex query the same way).
         For ``iforest`` and ``hbos``, also a column whose range
-        ``max - min`` overflows a float.
+        ``max - min`` overflows a float; for ``knn`` and ``lof``, a
+        row whose distance to a neighbour overflows (``score`` refuses
+        such a query the same way).
     InsufficientData
         Fewer than 2 rows, or fewer than ``k + 1`` rows for the
         neighbour-based detectors.
@@ -401,14 +408,15 @@ def fold_neighbour_scores(X, folds, kinds, k: int) -> list[dict]:
     ``{kind: (train, test)}`` per fold, bit for bit what
     ``fit_detector(DetectorSpec(kind, k=k), X[train_idx])`` returns from
     ``train_scores()`` and ``score(X[test_idx])``, and raises what that
-    fit raises (LOF's refusal when both kinds are asked for).
+    fit or score raises (LOF's refusal when both kinds are asked for).
 
     A row takes a fold's neighbourhood from the shared query only when
     the fold's own tree provably returns the same one: at least k+2 of
     the row's queried neighbours lie in the training fold, and the first
     k+2 of them are at strictly increasing distances.  Any other row
-    (ties, repeated rows, too few kept) is queried on the fold's own
-    ``cKDTree``, which answers each query on its own.
+    (ties, repeated rows, too few kept, as when a distance overflows) is
+    queried on the fold's own ``cKDTree``, which answers each query on
+    its own.
     """
     from scipy.spatial import cKDTree
 
@@ -428,7 +436,8 @@ def fold_neighbour_scores(X, folds, kinds, k: int) -> list[dict]:
     idx = idx.astype(np.int32)
     out = []
     for train_idx, test_idx in folds:
-        pos = np.full(n, -1, dtype=np.int32)
+        # Index n, a neighbour the query reports missing, is in no fold.
+        pos = np.full(n + 1, -1, dtype=np.int32)
         pos[train_idx] = np.arange(train_idx.size)
         fidx = pos[idx]
         kept = fidx >= 0

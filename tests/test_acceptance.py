@@ -22,6 +22,7 @@ from adreject.bench import (
     aggregate,
     compute_fold_scores,
     cost_preset,
+    make_folds,
     run_trial,
     synthetic_suite,
 )
@@ -62,9 +63,10 @@ def bench_reports():
     t0 = time.perf_counter()
     suite = synthetic_suite(seed=BENCH_SEED)
     tol = ToleranceSpec(32.0)
-    cache = {}
+    folds, cache = {}, {}
     for ds in suite:
-        scores = compute_fold_scores(ds, DETECTOR_KINDS, N_FOLDS, BENCH_SEED)
+        folds[ds.name] = make_folds(ds.n, N_FOLDS, BENCH_SEED, ds.name)
+        scores = compute_fold_scores(ds, DETECTOR_KINDS, folds[ds.name], BENCH_SEED)
         for fold in range(N_FOLDS):
             for kind in DETECTOR_KINDS:
                 cache[(ds.name, kind, fold)] = scores[fold][kind]
@@ -77,14 +79,12 @@ def bench_reports():
                 for fold in range(N_FOLDS):
                     results += run_trial(
                         ds,
-                        None,
+                        folds[ds.name][fold],
+                        fold,
+                        cache[(ds.name, kind, fold)],
+                        kind,
                         costs,
                         tol,
-                        BENCH_SEED,
-                        fold,
-                        n_folds=N_FOLDS,
-                        scores=cache[(ds.name, kind, fold)],
-                        detector_name=kind,
                     )
         reports[preset] = aggregate(results)
     elapsed = time.perf_counter() - t0

@@ -254,6 +254,16 @@ class TestFolds:
         assert len(seeds) == 12
 
 
+def _fold_trials(ds, spec, costs, tol, split_seed, fold, n_folds=5):
+    """``run_trial`` of one fold of ``ds``, scored by ``spec`` fitted on
+    the fold's training part."""
+    split = make_folds(ds.n, n_folds, split_seed, ds.name)[fold]
+    train_idx, test_idx = split
+    det = fit_detector(spec, ds.X[train_idx])
+    scores = det.train_scores(), det.score(ds.X[test_idx])
+    return run_trial(ds, split, fold, scores, spec.kind, costs, tol)
+
+
 class TestRunTrial:
     def _common(self):
         ds = _toy_dataset(n=250, gamma=0.1, seed=4)
@@ -264,43 +274,11 @@ class TestRunTrial:
 
     def test_noreject_rate_zero(self):
         ds, spec, costs, tol = self._common()
-        trials = run_trial(ds, spec, costs, tol, split_seed=0, fold=0)
+        trials = _fold_trials(ds, spec, costs, tol, split_seed=0, fold=0)
         r = trials[METHODS.index("noreject")]
         assert r.rejection_rate == 0.0
         assert r.method == "noreject"
         assert r.n_train + r.n_test == 250
-
-    def test_precomputed_scores_equivalent(self):
-        ds, _, costs, tol = self._common()
-        # Mirror the DetectorSpec that compute_fold_scores builds internally.
-        spec = DetectorSpec(kind="knn", seed=detector_seed(0, ds.name, "knn", 1))
-        direct = run_trial(ds, spec, costs, tol, split_seed=0, fold=1)
-        # kNN answered from the dataset's shared neighbour query, as
-        # run_benchmark does.
-        scores = compute_fold_scores(ds, ("knn", "lof"), n_folds=5, seed=0)[1]["knn"]
-        cached = run_trial(
-            ds,
-            None,
-            costs,
-            tol,
-            split_seed=0,
-            fold=1,
-            scores=scores,
-            detector_name="knn",
-        )
-        assert [r.method for r in cached] == [r.method for r in direct]
-        for a, b in zip(direct, cached):
-            for field in (
-                "detector",
-                "cost_per_example",
-                "rejection_rate",
-                "fp_rate",
-                "fn_rate",
-                "r_hat",
-                "bound_h",
-                "cost_bound",
-            ):
-                assert getattr(a, field) == getattr(b, field)
 
     def test_oracle_not_worse_than_rejex_on_average(self):
         ds, spec, costs, tol = self._common()
@@ -308,15 +286,15 @@ class TestRunTrial:
         for fold in range(5):
             by_method = {
                 r.method: r.cost_per_example
-                for r in run_trial(ds, spec, costs, tol, split_seed=0, fold=fold)
+                for r in _fold_trials(ds, spec, costs, tol, split_seed=0, fold=fold)
             }
             diffs.append(by_method["rejex"] - by_method["oracle"])
         assert np.mean(diffs) >= -0.01
 
 
 class TestRunFold:
-    """``run_trial`` evaluates a whole fold: one detector and one rejector
-    fit, shared by one trial per method."""
+    """``run_trial`` evaluates a whole fold: one rejector fit on the given
+    scores, shared by one trial per method."""
 
     @pytest.mark.parametrize("kind", ["knn", "iforest"])
     @pytest.mark.parametrize("preset", ["q1", "case2"])
@@ -326,7 +304,7 @@ class TestRunFold:
         costs = cost_preset(preset, ds.gamma)
         tol = ToleranceSpec(8.0)
         for fold in (0, 3):
-            trials = run_trial(ds, spec, costs, tol, split_seed=1, fold=fold)
+            trials = _fold_trials(ds, spec, costs, tol, split_seed=1, fold=fold)
             assert [r.method for r in trials] == list(METHODS)
             # Each method evaluated on its own, from a fresh fit.
             train_idx, test_idx = make_folds(ds.n, 5, 1, ds.name)[fold]
@@ -495,8 +473,10 @@ class TestRunBenchmarkRefusesBeforeWork:
                        labels=labels if labelled else None, gamma=0.1)
 
     def _refusal(self, ds, costs):
+        split = make_folds(ds.n, 5, 0, ds.name)[0]
+        scores = tuple(ds.X[idx, 0] for idx in split)
         with pytest.raises(AdrejectError) as trial:
-            run_trial(ds, DetectorSpec(kind="iforest"), costs, ToleranceSpec(8.0), 0, 0)
+            run_trial(ds, split, 0, scores, "iforest", costs, ToleranceSpec(8.0))
         return type(trial.value), str(trial.value)
 
     @pytest.mark.parametrize(
@@ -519,6 +499,26 @@ class TestRunBenchmarkRefusesBeforeWork:
         run_benchmark([self._dataset()], detector_kinds=("iforest",), T=8.0, n_folds=2,
                       custom_costs=CostSpec(1.0, 1.0, 0.05))
         assert calls() == ["compute_fold_scores", "fit_detector", "fit_detector"]
+
+
+@pytest.mark.parametrize("scores_only", [False, True], ids=["detectors", "scores-only"])
+def test_run_benchmark_makes_one_fold_plan_per_dataset(monkeypatch, scores_only):
+    # The plan is handed to every fold's scores and trials, not remade.
+    real, calls = bench.make_folds, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "make_folds", spy)
+    rng = np.random.default_rng(19)
+    labels = np.r_[np.zeros(90, int), np.ones(10, int)]
+    datasets = [Dataset(name=name, X=rng.normal(size=(100, 1 if scores_only else 2)),
+                        labels=labels, gamma=0.1) for name in ("a", "b")]
+    results = run_benchmark(datasets, detector_kinds=("hbos", "knn"), T=8.0, n_folds=3,
+                            scores_only=scores_only)
+    assert calls == ["a", "b"]
+    assert len(results) == 2 * (1 if scores_only else 2) * 3 * len(METHODS)
 
 
 class TestFoldWorkers:
@@ -569,7 +569,8 @@ class TestFoldWorkers:
                              ids=["all", "iforest-hbos"])
     def test_pool_scores_equal_in_process(self, monkeypatch, data, kinds):
         made = self._pools(monkeypatch)
-        args = (self._data(data), kinds, 4, 7)
+        ds = self._data(data)
+        args = (ds, kinds, make_folds(ds.n, 4, 7, ds.name), 7)
         serial = self._scores(monkeypatch, 1, *args)
         pooled = self._scores(monkeypatch, 2, *args)
         assert made == [False, True]
@@ -589,10 +590,10 @@ class TestFoldWorkers:
         # and 1 span a range of 2e308, which overflows.
         X = np.random.default_rng(67).normal(size=(60, 2))
         X[:, 1] = 1e308
-        _, test_idx = make_folds(60, 3, 0, "wide")[2]
-        X[test_idx[0], 1] = -1e308
+        folds = make_folds(60, 3, 0, "wide")
+        X[folds[2][1][0], 1] = -1e308
         made = self._pools(monkeypatch)
-        args = (Dataset(name="wide", X=X, labels=None, gamma=0.1), kinds, 3, 0)
+        args = (Dataset(name="wide", X=X, labels=None, gamma=0.1), kinds, folds, 0)
         expected = self._raised(monkeypatch, 1, *args)
         assert expected == (DomainError, f"{first}: the range of feature column 1 "
                             "overflows a float (max - min is infinite)")
@@ -604,9 +605,10 @@ class TestFoldWorkers:
         # Two rows in two folds leave one training row per fold.
         made = self._pools(monkeypatch)
         ds = Dataset(name="tiny", X=[[0.0], [1.0]], labels=None, gamma=0.0)
-        expected = self._raised(monkeypatch, 1, ds, kinds, 2, 0)
+        folds = make_folds(ds.n, 2, 0, ds.name)
+        expected = self._raised(monkeypatch, 1, ds, kinds, folds, 0)
         assert expected[0] is InsufficientData
-        assert self._raised(monkeypatch, 2, ds, kinds, 2, 0) == expected
+        assert self._raised(monkeypatch, 2, ds, kinds, folds, 0) == expected
         assert made == []
 
 

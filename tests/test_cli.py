@@ -405,6 +405,20 @@ class TestFeatureMode:
                        "(max - min is infinite)",
         }
 
+    @pytest.mark.parametrize("kind", ["knn", "lof"])
+    def test_overflowing_distance_exit_2(self, tmp_path, kind):
+        # The range 2e200 is finite; the squared distance 4e400 is not.
+        train = tmp_path / "far.csv"
+        train.write_text("x1,x2\n" + "".join(f"{i},{v}\n" for i, v in
+                                             enumerate([1e200] * 19 + [-1e200])))
+        proc = run_cli("fit", "--train", str(train), "--gamma", "0.1",
+                       "--detector", kind, "--model-out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "DomainError",
+            "message": "a nearest-neighbour distance overflows a float",
+        }
+
     def test_label_column_only_exit_2(self, tmp_path):
         train = tmp_path / "labels.csv"
         train.write_text("label\n" + "0\n" * 30 + "1\n" * 3)
@@ -555,6 +569,19 @@ class TestBench:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ("skipping wide: hbos: the range of feature column 1 "
                                "overflows a float (max - min is infinite)\n")
+        assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
+
+    def test_overflowing_distance_skips_the_dataset(self, tmp_path):
+        data = self._write_dataset(tmp_path)
+        rows = "".join(f"{i % 3},{v},{i % 10 == 0:d}\n"
+                       for i, v in enumerate([1e200] * 99 + [-1e200]))
+        (data / "far.csv").write_text("x1,x2,label\n" + rows)
+        out = tmp_path / "o"
+        proc = run_cli("bench", "--data-dir", str(data), "--detectors", "knn",
+                       "--folds", "2", "--t-tolerance", "8", "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("skipping far: a nearest-neighbour distance overflows "
+                               "a float\n")
         assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
 
     def test_empty_data_dir_exit_2(self, tmp_path):

@@ -97,6 +97,35 @@ class TestMatrixValidation:
         X[0, 1] = 1e307
         assert np.isfinite(fit_detector(DetectorSpec(kind=kind), X).train_scores()).all()
 
+    @staticmethod
+    def _far_apart(big):
+        # Every row at +big but one at -big, in fold 2's test part: a
+        # distance of 2 big, whose square overflows even where 2 big does
+        # not (big = 1e200).
+        X = np.random.default_rng(67).normal(size=(60, 2))
+        X[:, 1] = big
+        folds = make_folds(60, 3, 0, "wide")
+        X[folds[2][1][0], 1] = -big
+        return X, folds
+
+    @pytest.mark.parametrize("big", [1e308, 1e200])
+    @pytest.mark.parametrize("kind", ["knn", "lof"])
+    def test_overflowing_distance_refused(self, kind, big):
+        X, folds = self._far_apart(big)
+        message = "a nearest-neighbour distance overflows a float"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            fit_detector(DetectorSpec(kind=kind), X).train_scores()
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            detectors.fold_neighbour_scores(X, folds, (kind,), 10)
+
+    @pytest.mark.parametrize("kind", ["knn", "lof"])
+    def test_overflowing_query_distance_refused(self, kind):
+        train = np.random.default_rng(68).normal(size=(60, 2))
+        det = fit_detector(DetectorSpec(kind=kind), train)
+        with pytest.raises(DomainError, match="overflows a float"):
+            det.score([[1e200, 0.0]])
+        assert np.isfinite(det.score([[1e150, 0.0]])).all()
+
 
 class TestKnn:
     def test_frozen_values(self):
@@ -318,8 +347,8 @@ class TestSharedNeighbourScores:
     def test_compute_fold_scores_equal_separate_fits(self, data, kinds):
         X = TestTrainScores._train_sets()[data]
         ds = Dataset(name=data, X=X, labels=None, gamma=0.1)
-        got = compute_fold_scores(ds, kinds, n_folds=4, seed=5)
         folds = make_folds(ds.n, 4, 5, ds.name)
+        got = compute_fold_scores(ds, kinds, folds, seed=5)
         assert len(got) == len(folds)
         for fold, (train_idx, test_idx) in enumerate(folds):
             assert list(got[fold]) == list(kinds)
@@ -435,12 +464,13 @@ class TestSharedNeighbourScores:
                      labels=None, gamma=0.1)
         message = f"{speaker} with k=10 needs at least 11 rows, got 6"
         with pytest.raises(InsufficientData, match=f"^{message}$"):
-            compute_fold_scores(ds, kinds, n_folds=2, seed=0)
+            compute_fold_scores(ds, kinds, make_folds(ds.n, 2, 0, ds.name), seed=0)
 
     def test_small_training_fold_left_to_other_kinds(self):
         ds = Dataset(name="small", X=np.random.default_rng(65).normal(size=(12, 2)),
                      labels=None, gamma=0.1)
-        got = compute_fold_scores(ds, ("iforest", "hbos"), n_folds=2, seed=0)
+        got = compute_fold_scores(ds, ("iforest", "hbos"), make_folds(ds.n, 2, 0, ds.name),
+                                  seed=0)
         assert [list(scores) for scores in got] == [["iforest", "hbos"]] * 2
 
 
