@@ -25,6 +25,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .core import (
     ToleranceSpec,
     validate_cost_spec,
 )
-from .detectors import DetectorSpec, _check_rows, fit_detector, fold_neighbour_scores
+from .detectors import DetectorSpec, _check_folds, _fold_neighbours, fit_detector
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 __all__ = [
@@ -150,6 +151,10 @@ class Dataset:
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row.
 
+    The body is first read in blocks of lines (``_read_blocks``); a file
+    that path does not take is read again cell by cell, which gives the
+    same table and raises every error.
+
     Raises
     ------
     ParseError
@@ -157,6 +162,56 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
         (the header is row 1).
     """
     path = Path(path)
+    try:
+        table = _read_blocks(path)
+    except (ValueError, csv.Error):
+        table = None
+    return table if table is not None else _read_cells(path)
+
+
+# Bytes of body lines the block reader holds at once.
+_BLOCK_BYTES = 1 << 18
+
+
+def _read_blocks(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """The table of a CSV whose body rows are each a line of plain
+    ``float`` cells, one per header column; ``None`` when the file has
+    no body row or its last line no line end, and ``ValueError`` when a
+    cell does not parse.
+
+    ``csv.reader`` takes the header.  A body line with no quote splits
+    into the cells ``csv.reader`` finds, its line end left on the last
+    cell, which ``float()`` strips as whitespace; a quote never parses
+    as a float.  So every cell goes through the same ``float()`` as in
+    ``_read_cells``, and a table read here is the one read there.
+    """
+    limit = csv.field_size_limit()
+    with path.open(newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            return None
+        header = [h.strip() for h in header]
+        commas = len(header) - 1
+        blocks = []
+        last = ""
+        # Splitting on "," needs each line to be one row of the header's
+        # width; a line longer than the field limit makes csv.reader fail.
+        while lines := fh.readlines(_BLOCK_BYTES):
+            if (set(map(str.count, lines, repeat(","))) != {commas}
+                    or max(map(len, lines)) > limit):
+                return None
+            cells = ",".join(lines).split(",")
+            blocks.append(np.fromiter(map(float, cells), dtype=float,
+                                      count=len(cells)).reshape(len(lines), -1))
+            last = lines[-1]
+    if not blocks or not last.endswith(("\n", "\r")):
+        return None
+    return header, np.concatenate(blocks)
+
+
+def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
+    """The table read cell by cell; raises ``read_csv_table``'s errors."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -402,12 +457,7 @@ def compute_fold_scores(
     specs = {kind: DetectorSpec(kind=kind) for kind in kinds}
     near = [kind for kind in specs if kind in ("knn", "lof")]
     fitted = [kind for kind in specs if kind not in near]
-    # fold_neighbour_scores refuses a fold as LOF when both kinds are
-    # asked for; the fitted kinds refuse as fit_detector does.
-    speakers = (["lof" if "lof" in near else "knn"] if near else []) + fitted
-    for kind in speakers:
-        for train_idx, _ in folds:
-            _check_rows(specs[kind], train_idx.size, X.shape[1])
+    _check_folds(kinds, folds, X.shape[1])
     tasks = [(DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold)),
               fold) for fold in range(len(folds)) for kind in fitted]
     pool = _fold_fitter(X, folds, len(tasks))
@@ -418,7 +468,7 @@ def compute_fold_scores(
         else:
             futures = [pool.submit(_fit_inherited, *task) for task in tasks]
             fits = (future.result() for future in futures)
-        per_fold = (fold_neighbour_scores(X, folds, near, specs[near[0]].k)
+        per_fold = (_fold_neighbours(X, folds, near, specs[near[0]].k)
                     if near else [{} for _ in folds])
         for (spec, fold), scores in zip(tasks, fits):
             per_fold[fold][spec.kind] = scores

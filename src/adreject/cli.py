@@ -8,10 +8,10 @@ object ``{"error": {"type", "message"}}`` to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,9 @@ from .rejector import fit, load_model, predict_batch, save_model
 __all__ = ["build_parser", "main", "console_entry"]
 
 _PREDICT_COLUMNS = ("score", "psi_n", "p_anomaly", "confidence", "decision")
+_PREDICT_HEADER = ",".join(_PREDICT_COLUMNS) + "\r\n"
+# Rows formatted per write, which bounds the output text held at once.
+_WRITE_ROWS = 1 << 16
 # Indexed by BatchPredictions._codes().
 _DECISION_LABELS = np.array([str(d) for d in Decision])
 
@@ -212,6 +215,30 @@ def _scores_from_model(state: dict, header: list[str], data: np.ndarray, test_pa
     return data[:, header.index(column)]
 
 
+def _predict_rows(scores: np.ndarray, batch):
+    """The predict CSV's body in blocks of at most ``_WRITE_ROWS`` rows,
+    as ``csv.writer`` writes them: a float as its ``repr``, rows ended
+    by ``\r\n``.
+
+    ``psi_n = j / n`` is one-to-one in a row's training count ``j``, and
+    ``p_anomaly``, ``confidence`` and the decision depend on ``j``
+    alone, so everything after the score is formatted once per distinct
+    count the batch hits, from the first row with that count.
+    """
+    _, first, which = np.unique(batch.psi_n, return_index=True, return_inverse=True)
+    tails = np.array(
+        [f",{psi!r},{p!r},{c!r},{label}\r\n" for psi, p, c, label in zip(
+            batch.psi_n[first].tolist(), batch.p_anomaly[first].tolist(),
+            batch.confidence[first].tolist(),
+            _DECISION_LABELS[batch._codes()[first]].tolist())],
+        dtype=object,
+    )
+    for start in range(0, scores.size, _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
+        yield "".join(chain.from_iterable(zip(map(repr, scores[start:stop].tolist()),
+                                              tails[which[start:stop]].tolist())))
+
+
 def cmd_predict(args) -> int:
     rejector, state = load_model(args.model)
     header, data = read_csv_table(args.test)
@@ -219,13 +246,9 @@ def cmd_predict(args) -> int:
     batch = predict_batch(rejector, scores)
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out_fh)
-        writer.writerow(_PREDICT_COLUMNS)
-        # csv writes a float as its repr, so a value reads back bit for bit.
-        writer.writerows(zip(
-            scores.tolist(), batch.psi_n.tolist(), batch.p_anomaly.tolist(),
-            batch.confidence.tolist(), _DECISION_LABELS[batch._codes()].tolist(),
-        ))
+        out_fh.write(_PREDICT_HEADER)
+        for block in _predict_rows(scores, batch):
+            out_fh.write(block)
     finally:
         if args.out:
             out_fh.close()
@@ -351,6 +374,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except AdrejectError as exc:
         return _error_object(type(exc).__name__, str(exc))
+    except BrokenPipeError:
+        # The reader of standard output left; console_entry ends quietly.
+        raise
     except (ValueError, OSError) as exc:
         return _error_object(type(exc).__name__, str(exc))
 

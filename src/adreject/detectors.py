@@ -212,9 +212,18 @@ class _IForestDetector(_Detector):
         # max_depth steps from any root ends on the leaf it reaches.
         feat, thr, left, right, depths, size = [], [], [], [], [], []
         roots = []
+        d = X.shape[1]
         for _ in range(spec.n_trees):
             pick = rng.choice(n, size=sub, replace=False)
             sample = Xs[pick]
+            # When no column of the sample repeats a value (-0.0 and 0.0
+            # count as one), every node of two or more rows can split on
+            # every feature.  The draw usable[rng.integers(usable.size)]
+            # is then rng.integers(d), the same draw from the same
+            # stream, and the node needs only that column's min and max.
+            ordered = np.sort(sample, axis=0)
+            distinct = bool((ordered[1:] > ordered[:-1]).all())
+            columns = np.ascontiguousarray(sample.T)
             roots.append(len(feat))
             # Depth first, left before right: the random draws come in
             # the order of the node numbers.  A child links itself into
@@ -233,14 +242,20 @@ class _IForestDetector(_Detector):
                 size.append(rows.size)
                 if depth >= max_depth or rows.size <= 1:
                     continue
-                part = sample[rows]
-                mins = np.minimum.reduce(part)
-                maxs = np.maximum.reduce(part)
-                usable = (maxs > mins).nonzero()[0]
-                if usable.size == 0:
-                    continue
-                f = int(usable[rng.integers(usable.size)])
-                lo, hi = float(mins[f]), float(maxs[f])
+                if distinct:
+                    f = int(rng.integers(d))
+                    values = columns[f].take(rows)
+                    lo, hi = float(values.min()), float(values.max())
+                else:
+                    part = sample[rows]
+                    mins = np.minimum.reduce(part)
+                    maxs = np.maximum.reduce(part)
+                    usable = (maxs > mins).nonzero()[0]
+                    if usable.size == 0:
+                        continue
+                    f = int(usable[rng.integers(usable.size)])
+                    lo, hi = float(mins[f]), float(maxs[f])
+                    values = part[:, f]
                 # Bit for bit rng.uniform(lo, hi): fit_detector refused
                 # any column whose range overflows, so hi - lo is finite.
                 split = lo + (hi - lo) * rng.random()
@@ -248,7 +263,7 @@ class _IForestDetector(_Detector):
                     # The draw may return its lower edge; keep both children
                     # nonempty by moving the split just above the minimum.
                     split = math.nextafter(lo, hi)
-                go_left = part[:, f] < split
+                go_left = values < split
                 feat[node] = f
                 thr[node] = split
                 todo.append((rows[~go_left], depth + 1, right, node))
@@ -418,13 +433,30 @@ def fold_neighbour_scores(X, folds, kinds, k: int) -> list[dict]:
     queried on the fold's own ``cKDTree``, which answers each query on
     its own.
     """
+    X = _check_matrix(X)
+    _check_folds(kinds, folds, X.shape[1], k)
+    return _fold_neighbours(X, folds, kinds, k)
+
+
+def _check_folds(kinds, folds, d: int, k: int = 10) -> None:
+    """Refuse the first training fold too small for a detector of
+    ``kinds``, as ``fit_detector`` on that fold would.  kNN and LOF are
+    answered together from one neighbour query, so they refuse first
+    and once, as LOF when both are asked for; the other kinds follow in
+    the order given."""
+    near = [kind for kind in kinds if kind in ("knn", "lof")]
+    speakers = ["lof" if "lof" in near else "knn"] if near else []
+    for kind in speakers + [kind for kind in kinds if kind not in near]:
+        spec = DetectorSpec(kind, k=k)
+        for train_idx, _ in folds:
+            _check_rows(spec, train_idx.size, d)
+
+
+def _fold_neighbours(X: np.ndarray, folds, kinds, k: int) -> list[dict]:
+    """``fold_neighbour_scores`` of a checked matrix and fold plan."""
     from scipy.spatial import cKDTree
 
-    X = _check_matrix(X)
-    n, d = X.shape
-    speaker = DetectorSpec("lof" if "lof" in kinds else "knn", k=k)
-    for train_idx, _ in folds:
-        _check_rows(speaker, train_idx.size, d)
+    n = X.shape[0]
     # A row keeps about (f-1)/f of its neighbours in a training fold of
     # f folds; asking for 1.5 times the k+2 it needs on average leaves
     # few rows to fall back.

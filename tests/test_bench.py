@@ -1,5 +1,9 @@
+import csv
 import multiprocessing
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,6 +148,12 @@ class TestCsvLoading:
         with pytest.raises(ParseError):
             read_csv_table(p)
 
+    def test_blank_line_mid_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n\n3,4\n")
+        with pytest.raises(ParseError, match="row 3 has 0 cells, header has 2"):
+            read_csv_table(p)
+
     def _write_labeled(self, tmp_path, n=40, gamma=0.1):
         rng = np.random.default_rng(0)
         p = tmp_path / "data.csv"
@@ -178,6 +188,150 @@ class TestCsvLoading:
         b = load_csv(p)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.labels, b.labels)
+
+
+def _outcome(read, path):
+    """A reader's table as (header, shape, bits), or its error as
+    (type, message)."""
+    try:
+        header, data = read(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return header, data.shape, data.view("u8").tobytes()
+
+
+# Cells float() reads, and cells csv.reader or float() treats apart.
+_GOOD_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats(width=32).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_000", " 1.5 ", "\t-2e-3", "nan", "-inf", "Infinity", "-0.0",
+                     "5e-324", "2.2250738585072014e-308", "1e999", "0x1p3"]),
+)
+_BAD_CELLS = st.sampled_from(['"1.5"', '"1,5"', '"2\n3"', "#", "# 1", "", " ", "zap",
+                              "1__0", "1.5.", "\x00", "\x0c", "é"])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text: a header, then rows of the header's width; in one file
+    of four the cells may be odd, and in one of four the rows ragged or
+    blank.  Line ends are mixed, and in one file of four the last one
+    is missing, so the block reader reads about half of them itself."""
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "x y", '"q"', "label"]),
+                          min_size=width, max_size=width))
+    cells = _GOOD_CELLS
+    if draw(st.integers(0, 3)) == 0:
+        cells = st.one_of(_GOOD_CELLS, _BAD_CELLS)
+    row = st.lists(cells, min_size=width, max_size=width)
+    if draw(st.integers(0, 3)) == 0:
+        row = st.one_of(row, st.lists(cells, max_size=width + 1))
+    rows = draw(st.lists(row, max_size=12))
+    lines = [",".join(names)] + [",".join(r) for r in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.integers(0, 3)) == 0:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestBlockReader:
+    """``read_csv_table`` (block reader first) against the cell-by-cell
+    loop it falls back to: the same table bit for bit, or the same
+    error."""
+
+    @staticmethod
+    def _same(tmp_dir, text, block_bytes):
+        p = Path(tmp_dir) / "t.csv"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with mock.patch.object(bench, "_BLOCK_BYTES", block_bytes):
+            got = _outcome(read_csv_table, p)
+        assert got == _outcome(bench._read_cells, p)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_files(), block_bytes=st.sampled_from([1, 24, 1 << 18]))
+    def test_equal_to_cell_loop(self, text, block_bytes):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            self._same(tmp_dir, text, block_bytes)
+
+    @staticmethod
+    def _plain(rows, width=3, seed=0):
+        X = np.random.default_rng(seed).normal(size=(rows, width))
+        X[::7] *= 1e-310
+        return X, "a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in X.tolist())
+
+    def test_fast_path_reads_many_blocks(self, tmp_path):
+        # Over 1 MB: several 256 KiB blocks.
+        X, text = self._plain(20000)
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        header, data = bench._read_blocks(p)
+        assert header == ["a", "b", "c"]
+        assert data.view("u8").tobytes() == X.view("u8").tobytes()
+        self._same(tmp_path, text, 1 << 18)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n3\n",           # a row one cell short
+        "a,b\n1,2\n3,4,5\n",       # a row one cell long
+        "a,b\n1\n2,3,4\n",          # short then long: the cell total fits
+        'a,b\n1,"2,5"\n',          # a quoted comma, one cell to csv.reader
+        "a,b\n1,2\n\n3,4\n",       # a blank line mid-file
+        "a,b\n1,2\n3,4\n\n",       # a blank line at EOF
+        "a,b\n",                   # header only
+        "a,b\n1,2\n3,4",           # no line end on the last line
+        "a,b\r\n1,2\r\n3,4",       # the same with CRLF
+    ])
+    def test_fallback_without_a_cell_error(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text, newline="")
+        assert bench._read_blocks(p) is None
+        self._same(tmp_path, text, 1 << 18)
+
+    @pytest.mark.parametrize("text", [
+        'a,b\n1,"2"\n',            # a quoted cell: csv.reader unquotes it
+        "a,b\n1,2\n3,zap\n",       # a cell float() refuses
+        "a,b\n1,#\n",
+        "a\n\n",                   # a blank line of a one-column table
+    ])
+    def test_fallback_on_a_cell_error(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text, newline="")
+        with pytest.raises(ValueError):
+            bench._read_blocks(p)
+        self._same(tmp_path, text, 1 << 18)
+
+    def test_quoted_cells_read_as_csv_reader_reads_them(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text('a,b\n1,"2"\n"3",4\n')
+        assert read_csv_table(p)[1].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_cell_over_the_field_limit(self, tmp_path):
+        # float() reads the long cell, but csv.reader refuses it.
+        text = "a\n" + "0" * (csv.field_size_limit() + 1) + "1\n"
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        assert bench._read_blocks(p) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_csv_table(p)
+
+    def test_error_row_in_a_later_block(self, tmp_path):
+        X, text = self._plain(50)
+        text += "1,2,zap\n"
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with mock.patch.object(bench, "_BLOCK_BYTES", 100):
+            with pytest.raises(ParseError, match=r"row 52, column 3: could not parse 'zap'"):
+                read_csv_table(p)
+
+    @pytest.mark.parametrize("rows", [1, 5000])
+    def test_undecodable_byte(self, tmp_path, rows):
+        # UnicodeDecodeError is a ValueError: the cell loop reads the file
+        # again and raises it, at the same byte.
+        text = b"a,b\n" + b"1,2\n" * rows + b"3,\xff\n"
+        got = self._same(tmp_path, text, 1 << 18)
+        assert got[0] is UnicodeDecodeError
 
 
 class TestSyntheticSuite:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import subprocess
@@ -204,6 +205,67 @@ class TestPredict:
         # repr round-trip: parsing the text reproduces the float exactly.
         assert repr(float(first[1])) == first[1]
         assert first[4] in ("normal", "anomaly", "reject")
+
+    @staticmethod
+    def _predict_bytes(model, test, out=None):
+        """predict's bytes on standard output, or in ``out`` when given."""
+        args = ["predict", "--model", str(model), "--test", str(test)]
+        if out is not None:
+            args += ["--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "adreject", *args],
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes() if out is not None else proc.stdout
+
+    def test_stdout_equals_out_file(self, tmp_path, train_csv):
+        model, _ = self._fit(tmp_path, train_csv)
+        out = tmp_path / "pred.csv"
+        got = self._predict_bytes(model, train_csv, out)
+        assert got.startswith(b"score,psi_n,p_anomaly,confidence,decision\r\n")
+        assert got == self._predict_bytes(model, train_csv)
+
+    def test_bytes_equal_csv_writer(self, tmp_path, train_csv):
+        # Every training score twice (repeated counts), and scores below
+        # and above all of them (counts 0 and n).
+        from adreject.bench import read_csv_table
+        from adreject.rejector import load_model, predict_batch
+
+        model, _ = self._fit(tmp_path, train_csv)
+        train = read_csv_table(train_csv)[1][:, 0]
+        scores = np.concatenate([[train.min() - 1.0], train, train[::-1],
+                                 [train.max() + 1.0, 0.5, -0.0]])
+        test = tmp_path / "test.csv"
+        write_scores_csv(test, scores)
+        batch = predict_batch(load_model(model)[0], scores)
+        assert {str(d) for d in batch.decisions} == {"normal", "anomaly", "reject"}
+        assert {0.0, 1.0} <= set(batch.psi_n.tolist())
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["score", "psi_n", "p_anomaly", "confidence", "decision"])
+        writer.writerows(zip(scores.tolist(), batch.psi_n.tolist(),
+                             batch.p_anomaly.tolist(), batch.confidence.tolist(),
+                             [str(d) for d in batch.decisions]))
+        want = want.getvalue().encode()
+        assert self._predict_bytes(model, test, tmp_path / "pred.csv") == want
+        assert self._predict_bytes(model, test) == want
+
+    def test_reader_leaving_early_exits_0(self, tmp_path, train_csv):
+        # As in `adreject predict ... | head -1`: about 2 MB of output, far
+        # more than a pipe holds, so writing fails once the reader leaves.
+        model, _ = self._fit(tmp_path, train_csv)
+        test = tmp_path / "test.csv"
+        write_scores_csv(test, np.random.default_rng(1).normal(size=20000))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "adreject", "predict", "--model", str(model),
+             "--test", str(test)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"score,psi_n,p_anomaly,confidence,decision\r\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 0, stderr
+        assert stderr == b""
 
     def test_empty_input_header_only(self, tmp_path, train_csv):
         model, _ = self._fit(tmp_path, train_csv)

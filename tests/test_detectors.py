@@ -293,6 +293,80 @@ class TestIforestKernel:
                     n_trees=25, subsample=64, seed=10)
 
 
+class _RecordingRng:
+    """A generator that keeps every subsample ``choice`` draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.picks = []
+
+    def choice(self, *args, **kwargs):
+        pick = self._rng.choice(*args, **kwargs)
+        self.picks.append(pick)
+        return pick
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestIforestDistinctSamples:
+    """A tree whose subsample repeats no value in any column is built on
+    the one-column path; any other tree on the full one.  Both give the
+    per-tree reference's scores bit for bit."""
+
+    @staticmethod
+    def _distinct_trees(monkeypatch, train, spec):
+        """The forest of ``spec`` on ``train``, and per tree whether its
+        subsample holds distinct values in every column."""
+        rngs, seeded = [], np.random.default_rng
+
+        def recording(seed):
+            rngs.append(_RecordingRng(seeded(seed)))
+            return rngs[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", recording)
+            det = fit_detector(spec, train)
+        Xs = train[np.lexsort(train.T[::-1])]
+        ordered = (np.sort(Xs[pick], axis=0) for pick in rngs[0].picks)
+        return det, [bool((np.diff(s, axis=0) > 0).all()) for s in ordered]
+
+    @pytest.mark.parametrize("repeat", ["row", "signed-zero"])
+    def test_both_paths_equal_the_reference(self, monkeypatch, repeat):
+        # Eight equal rows: a subsample of 64 of the 300 holds two or
+        # more of them in about half the trees.  No split can part them,
+        # so a node of only those rows must stay a leaf.
+        rng = np.random.default_rng(12)
+        train = rng.normal(size=(300, 3))
+        if repeat == "row":
+            train[10:18] = train[10]
+        else:
+            # Eight rows apart from the rest, that differ in columns 0 and
+            # 2 but hold -0.0 or 0.0 in column 1: one value to a split.
+            train[10:18] = 6.0 + 1e-3 * rng.normal(size=(8, 3))
+            train[10:18, 1] = [-0.0, 0.0] * 4
+        queries = np.vstack([rng.normal(size=(500, 3)) * 2.0, train[10:18]])
+        spec = DetectorSpec(kind="iforest", n_trees=40, subsample=64, seed=4)
+        det, distinct = self._distinct_trees(monkeypatch, train, spec)
+        assert 0 < sum(distinct) < len(distinct)
+        for Q in (queries, train):
+            want = reference_iforest_scores(train, Q, spec.n_trees, spec.subsample,
+                                            spec.seed)
+            assert det.score(Q).tobytes() == want.tobytes()
+        assert det.train_scores().tobytes() == det.score(train).tobytes()
+
+    def test_repeated_columns_take_the_full_path(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        train = np.column_stack([rng.normal(size=200), rng.integers(0, 4, 200)])
+        spec = DetectorSpec(kind="iforest", n_trees=10, subsample=64, seed=5)
+        det, distinct = self._distinct_trees(monkeypatch, train, spec)
+        assert not any(distinct)
+        queries = rng.normal(size=(50, 2)) * 3.0
+        want = reference_iforest_scores(train, queries, spec.n_trees, spec.subsample,
+                                        spec.seed)
+        assert det.score(queries).tobytes() == want.tobytes()
+
+
 class TestTrainScores:
     @staticmethod
     def _train_sets():
