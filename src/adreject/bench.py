@@ -24,6 +24,7 @@ import math
 import os
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -46,7 +47,8 @@ from .core import (
     ToleranceSpec,
     validate_cost_spec,
 )
-from .detectors import DetectorSpec, _check_folds, _fold_neighbours, fit_detector
+from .detectors import (DETECTOR_KINDS, _NEIGHBOUR_KINDS, DetectorSpec, _check_folds,
+                        _check_kinds, _fold_neighbours, fit_detector)
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 __all__ = [
@@ -158,8 +160,9 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     Raises
     ------
     ParseError
-        On a non-numeric cell or ragged row, with 1-based coordinates
-        (the header is row 1).
+        On a header that repeats a column name (after stripping), and on
+        a non-numeric cell or ragged row, with 1-based coordinates (the
+        header is row 1).
     """
     path = Path(path)
     try:
@@ -173,11 +176,26 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
 _BLOCK_BYTES = 1 << 18
 
 
+def _header(path: Path, reader) -> list[str]:
+    """The stripped column names of a CSV's first row; ``ParseError`` on
+    an empty file, or on a name given twice, which would make a column
+    taken by name ambiguous."""
+    try:
+        row = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected a header row") from None
+    names = [h.strip() for h in row]
+    twice = [name for name, count in Counter(names).items() if count > 1]
+    if twice:
+        raise ParseError(f"{path}: header repeats column name {twice[0]!r}")
+    return names
+
+
 def _read_blocks(path: Path) -> tuple[list[str], np.ndarray] | None:
     """The table of a CSV whose body rows are each a line of plain
     ``float`` cells, one per header column; ``None`` when the file has
     no body row or its last line no line end, and ``ValueError`` when a
-    cell does not parse.
+    cell does not parse.  The header is read as in ``_read_cells``.
 
     ``csv.reader`` takes the header.  A body line with no quote splits
     into the cells ``csv.reader`` finds, its line end left on the last
@@ -187,11 +205,7 @@ def _read_blocks(path: Path) -> tuple[list[str], np.ndarray] | None:
     """
     limit = csv.field_size_limit()
     with path.open(newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            return None
-        header = [h.strip() for h in header]
+        header = _header(path, csv.reader(fh))
         commas = len(header) - 1
         blocks = []
         last = ""
@@ -214,11 +228,7 @@ def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
     """The table read cell by cell; raises ``read_csv_table``'s errors."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
+        header = _header(path, reader)
         rows: list[list[float]] = []
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -439,25 +449,24 @@ def compute_fold_scores(
     it; ``seed`` seeds each fold's detector (:func:`detector_seed`).
 
     kNN and LOF answer every fold from one kd-tree over the dataset and
-    one neighbour query of its rows (``fold_neighbour_scores``).  The
+    one neighbour query of its rows (``_fold_neighbours``).  The
     other kinds are fitted and scored per fold in forked worker
     processes, one per CPU this process may use, which inherit the
     dataset instead of receiving it pickled; they run while the parent
     makes the neighbour query.  With one usable CPU, or without a
     ``fork`` start method or ``os.sched_getaffinity``, the same fits
-    run in this process.  Every fold-size
-    refusal comes before any worker starts; a failing fit raises its
-    own exception, the first in fold order, and no worker outlives the
-    call.  With ``run_benchmark``'s folds and seed, callers can
+    run in this process.  An unknown or repeated kind and every
+    fold-size refusal come before any worker starts; a failing fit
+    raises its own exception, the first in fold order, and no worker
+    outlives the call.  With ``run_benchmark``'s folds and seed, callers can
     precompute a score cache and replay trials for several cost presets
     without refitting detectors or changing any output.
     """
     X = dataset.X
-    # Built first, so an unknown kind is refused before any work.
-    specs = {kind: DetectorSpec(kind=kind) for kind in kinds}
-    near = [kind for kind in specs if kind in ("knn", "lof")]
-    fitted = [kind for kind in specs if kind not in near]
+    _check_kinds(kinds)
     _check_folds(kinds, folds, X.shape[1])
+    near = [kind for kind in kinds if kind in _NEIGHBOUR_KINDS]
+    fitted = [kind for kind in kinds if kind not in near]
     tasks = [(DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold)),
               fold) for fold in range(len(folds)) for kind in fitted]
     pool = _fold_fitter(X, folds, len(tasks))
@@ -468,7 +477,7 @@ def compute_fold_scores(
         else:
             futures = [pool.submit(_fit_inherited, *task) for task in tasks]
             fits = (future.result() for future in futures)
-        per_fold = (_fold_neighbours(X, folds, near, specs[near[0]].k)
+        per_fold = (_fold_neighbours(X, folds, near, DetectorSpec(near[0]).k)
                     if near else [{} for _ in folds])
         for (spec, fold), scores in zip(tasks, fits):
             per_fold[fold][spec.kind] = scores
@@ -776,7 +785,7 @@ def write_report_files(results: list[TrialResult], report: dict, out_dir) -> dic
 
 def run_benchmark(
     datasets: list[Dataset],
-    detector_kinds: tuple[str, ...] = ("knn", "lof", "iforest", "hbos"),
+    detector_kinds: tuple[str, ...] = DETECTOR_KINDS,
     preset: str = "q1",
     T: float = 32.0,
     delta: float = 0.05,

@@ -28,7 +28,7 @@ from .bench import (
 )
 from .core import (AdrejectError, CostSpec, Decision, DomainError, ScoreSet,
                    ToleranceSpec, validate_domain)
-from .detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
+from .detectors import DETECTOR_KINDS, DetectorSpec, _check_kinds, fit_detector
 from .rejector import fit, load_model, predict_batch, save_model
 
 __all__ = ["build_parser", "main", "console_entry"]
@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="name of the score column (scores mode)")
     p_fit.add_argument("--label-column", default="label",
                        help="column to ignore when reading scores or features")
-    p_fit.add_argument("--seed", type=int, default=0, help="detector seed")
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="detector seed, a non-negative integer")
     p_fit.add_argument("--model-out", required=True, help="where to write the model")
 
     p_pred = sub.add_parser("predict", help="apply a fitted model to a test CSV")
@@ -295,11 +296,7 @@ def cmd_bench(args) -> int:
     detector_kinds = tuple(k.strip() for k in args.detectors.split(",") if k.strip())
     if not detector_kinds:
         raise DomainError(f"--detectors names no detector, got {args.detectors!r}")
-    for kind in detector_kinds:
-        if kind not in DETECTOR_KINDS:
-            raise DomainError(
-                f"unknown detector {kind!r}, expected among {DETECTOR_KINDS}"
-            )
+    _check_kinds(detector_kinds)
     preset, custom = _parse_costs(args.costs)
     if args.folds < 2:
         raise DomainError(f"--folds must be >= 2, got {args.folds}")

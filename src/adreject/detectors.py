@@ -20,15 +20,15 @@ own training matrix, bit for bit what ``score`` returns on a copy of
 it.  LOF answers from the neighbourhoods it found at fit; the others
 score the matrix again.
 
-For cross-validation, ``fold_neighbour_scores`` gives the kNN and LOF
-scores of every fold of a matrix from one kd-tree over all its rows and
-one neighbour query of them, bit for bit what a detector fitted on each
-training fold returns.
+``DetectorSpec`` checks its own fields.  Cross-validation scores come
+from ``bench.compute_fold_scores``, which answers kNN and LOF for every
+fold from one neighbour query (``_fold_neighbours``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +41,21 @@ from .core import (
     _as_real_array,
 )
 
-__all__ = ["DETECTOR_KINDS", "DetectorSpec", "fit_detector", "fold_neighbour_scores"]
+__all__ = ["DETECTOR_KINDS", "DetectorSpec", "fit_detector"]
 
 DETECTOR_KINDS = ("knn", "lof", "iforest", "hbos")
+_NEIGHBOUR_KINDS = ("knn", "lof")
 
 _EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Detector kind plus hyperparameters (unused ones are ignored)."""
+    """Detector kind plus hyperparameters (unused ones are ignored):
+    ``kind`` is one of :data:`DETECTOR_KINDS`, and ``k``, ``n_trees``,
+    ``subsample``, ``n_bins`` and ``seed`` are integers (not ``bool``;
+    stored as ``int``) of at least 1, 1, 2, 1 and 0.  Anything else
+    raises ``DomainError``."""
 
     kind: str
     k: int = 10
@@ -60,18 +65,26 @@ class DetectorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in DETECTOR_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in DETECTOR_KINDS:
             raise DomainError(
                 f"unknown detector kind {self.kind!r}, expected one of {DETECTOR_KINDS}"
             )
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n_trees < 1:
-            raise DomainError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.subsample < 2:
-            raise DomainError(f"subsample must be >= 2, got {self.subsample}")
-        if self.n_bins < 1:
-            raise DomainError(f"n_bins must be >= 1, got {self.n_bins}")
+        for name, least in (("k", 1), ("n_trees", 1), ("subsample", 2), ("n_bins", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
+
+
+def _check_kinds(kinds) -> None:
+    """Refuse a list of detector kinds naming an unknown kind or one twice."""
+    for i, kind in enumerate(kinds):
+        DetectorSpec(kind)
+        if kind in kinds[:i]:
+            raise DomainError(f"detector kind {kind!r} is named twice")
 
 
 def _check_matrix(X, dim: int | None = None) -> np.ndarray:
@@ -368,7 +381,7 @@ def _check_rows(spec: DetectorSpec, n: int, d: int) -> None:
         raise DomainError("features must have at least one column, got 0")
     if n < 2:
         raise InsufficientData(f"need at least 2 training rows, got {n}")
-    if spec.kind in ("knn", "lof") and n < spec.k + 1:
+    if spec.kind in _NEIGHBOUR_KINDS and n < spec.k + 1:
         raise InsufficientData(
             f"{spec.kind} with k={spec.k} needs at least {spec.k + 1} rows, got {n}"
         )
@@ -408,52 +421,41 @@ def fit_detector(spec: DetectorSpec, X):
     """
     arr = _check_matrix(X).copy()
     _check_rows(spec, *arr.shape)
-    if spec.kind in ("iforest", "hbos"):
+    if spec.kind not in _NEIGHBOUR_KINDS:
         _check_ranges(spec, arr)
     return _FITTERS[spec.kind](spec, arr)
 
 
-def fold_neighbour_scores(X, folds, kinds, k: int) -> list[dict]:
-    """kNN and LOF scores of every cross-validation fold of ``X`` from
-    one kd-tree over all its rows and one neighbour query of them.
-
-    ``folds`` is a list of ``(train_idx, test_idx)`` pairs whose test
-    parts partition the rows of ``X``, as ``bench.make_folds`` returns;
-    ``kinds`` names ``"knn"`` and/or ``"lof"``.  Returns one
-    ``{kind: (train, test)}`` per fold, bit for bit what
-    ``fit_detector(DetectorSpec(kind, k=k), X[train_idx])`` returns from
-    ``train_scores()`` and ``score(X[test_idx])``, and raises what that
-    fit or score raises (LOF's refusal when both kinds are asked for).
-
-    A row takes a fold's neighbourhood from the shared query only when
-    the fold's own tree provably returns the same one: at least k+2 of
-    the row's queried neighbours lie in the training fold, and the first
-    k+2 of them are at strictly increasing distances.  Any other row
-    (ties, repeated rows, too few kept, as when a distance overflows) is
-    queried on the fold's own ``cKDTree``, which answers each query on
-    its own.
-    """
-    X = _check_matrix(X)
-    _check_folds(kinds, folds, X.shape[1], k)
-    return _fold_neighbours(X, folds, kinds, k)
-
-
-def _check_folds(kinds, folds, d: int, k: int = 10) -> None:
+def _check_folds(kinds, folds, d: int) -> None:
     """Refuse the first training fold too small for a detector of
     ``kinds``, as ``fit_detector`` on that fold would.  kNN and LOF are
     answered together from one neighbour query, so they refuse first
     and once, as LOF when both are asked for; the other kinds follow in
     the order given."""
-    near = [kind for kind in kinds if kind in ("knn", "lof")]
+    near = [kind for kind in kinds if kind in _NEIGHBOUR_KINDS]
     speakers = ["lof" if "lof" in near else "knn"] if near else []
     for kind in speakers + [kind for kind in kinds if kind not in near]:
-        spec = DetectorSpec(kind, k=k)
+        spec = DetectorSpec(kind)
         for train_idx, _ in folds:
             _check_rows(spec, train_idx.size, d)
 
 
 def _fold_neighbours(X: np.ndarray, folds, kinds, k: int) -> list[dict]:
-    """``fold_neighbour_scores`` of a checked matrix and fold plan."""
+    """kNN and/or LOF (``kinds``) scores of every fold of a checked
+    matrix from one kd-tree over all its rows and one query of them.
+
+    ``folds`` partitions the rows as ``bench.make_folds`` does, each
+    training fold of at least k+1 rows.  Returns one ``{kind: (train,
+    test)}`` per fold, bit for bit what ``fit_detector(DetectorSpec(kind,
+    k=k), X[train_idx])`` returns from ``train_scores()`` and
+    ``score(X[test_idx])``; an overflowing distance raises as there.
+
+    A row keeps the shared answer for a fold only when the fold's own
+    tree provably gives the same neighbourhood: at least k+2 of its
+    queried neighbours are in the training fold, the first k+2 of them
+    at strictly increasing distances.  Any other row (ties, repeated
+    rows, too few kept) is queried again on the fold's own tree.
+    """
     from scipy.spatial import cKDTree
 
     n = X.shape[0]

@@ -30,6 +30,7 @@ from .bounds import (
 from .core import (
     CostSpec,
     Decision,
+    DomainError,
     LabelLengthMismatch,
     NonBinaryLabels,
     NonFiniteInput,
@@ -279,10 +280,10 @@ def to_dict(rejector: FittedRejector, score_column: str | None = None,
 def _check_detector_block(block) -> None:
     """Refuse a ``detector`` block the CLI could not refit from.
 
-    The block holds :class:`DetectorSpec`'s fields plus
-    ``feature_names`` and ``train_matrix``.  Only shapes and types are
-    checked here; the values themselves are checked when
-    ``DetectorSpec`` and ``fit_detector`` rebuild it.
+    The block holds :class:`DetectorSpec`'s fields, which must make a
+    spec it accepts, plus ``feature_names`` and ``train_matrix``, whose
+    shapes and types are checked here; the matrix values are checked
+    when ``fit_detector`` refits it.
     """
     if block is None:
         return
@@ -292,14 +293,14 @@ def _check_detector_block(block) -> None:
         got = sorted(block) if isinstance(block, dict) else type(block).__name__
         raise ValueError(f"model detector must be an object with keys {sorted(keys)}, "
                          f"got {got}")
-    if not isinstance(block["kind"], str):
-        raise ValueError("model detector kind must be a string")
-    for key in spec_keys:
-        if key != "kind" and type(block[key]) is not int:
-            raise ValueError(f"model detector {key} must be an integer")
+    try:
+        DetectorSpec(**{key: block[key] for key in spec_keys})
+    except DomainError as exc:
+        raise ValueError(f"model detector: {exc}") from None
     names = block["feature_names"]
-    if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
-        raise ValueError("model detector feature_names must be a list of strings")
+    if not (isinstance(names, list) and all(isinstance(c, str) for c in names)
+            and len(set(names)) == len(names)):
+        raise ValueError("model detector feature_names must be distinct strings")
     rows = block["train_matrix"]
     if not (
         isinstance(rows, list)
@@ -332,7 +333,7 @@ def from_dict(state: dict) -> FittedRejector:
     quietly.  Only
     ``score_column`` and ``detector`` are taken on trust: they are
     copied, not recomputed, after the ``detector`` block's keys and
-    types are checked.
+    types are checked and ``DetectorSpec`` accepts its spec fields.
 
     Raises
     ------

@@ -215,12 +215,16 @@ _BAD_CELLS = st.sampled_from(['"1.5"', '"1,5"', '"2\n3"', "#", "# 1", "", " ", "
 @st.composite
 def _csv_files(draw):
     """CSV text: a header, then rows of the header's width; in one file
-    of four the cells may be odd, and in one of four the rows ragged or
-    blank.  Line ends are mixed, and in one file of four the last one
-    is missing, so the block reader reads about half of them itself."""
+    of four the header may repeat a name, in one of four the cells may
+    be odd, and in one of four the rows ragged or blank.  Line ends are
+    mixed, and in one file of four the last one is missing, so the block
+    reader reads about half of them itself."""
     width = draw(st.integers(1, 4))
-    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "x y", '"q"', "label"]),
-                          min_size=width, max_size=width))
+    # " c " and "c" are one name once stripped.
+    names = st.lists(st.sampled_from(["a", "b", "c", " c ", "x y", '"q"', "label"]),
+                     min_size=width, max_size=width,
+                     unique_by=str.strip if draw(st.integers(0, 3)) else None)
+    names = draw(names)
     cells = _GOOD_CELLS
     if draw(st.integers(0, 3)) == 0:
         cells = st.one_of(_GOOD_CELLS, _BAD_CELLS)
@@ -301,6 +305,18 @@ class TestBlockReader:
         with pytest.raises(ValueError):
             bench._read_blocks(p)
         self._same(tmp_path, text, 1 << 18)
+
+    @pytest.mark.parametrize("text", [
+        "a,a\n1,2\n",             # the block reader would take the body
+        "a, a \n1,2\n",           # one name once stripped
+        'a,"a"\n1,2\n',           # csv.reader unquotes the second
+        "a,b,a\n",                # header only
+        "a,a\n1,2",               # no line end on the last line
+        "a,a\n1,zap\n",           # a cell float() refuses
+    ])
+    def test_repeated_column_name_refused(self, tmp_path, text):
+        got = self._same(tmp_path, text, 1 << 18)
+        assert got == (ParseError, f"{tmp_path / 't.csv'}: header repeats column name 'a'")
 
     def test_quoted_cells_read_as_csv_reader_reads_them(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -648,6 +664,12 @@ class TestRunBenchmarkRefusesBeforeWork:
                           custom_costs=costs)
         assert calls() == []
 
+    def test_repeated_kind_fits_nothing(self, monkeypatch, tmp_path):
+        calls = self._spy(monkeypatch, tmp_path)
+        with pytest.raises(DomainError, match="^detector kind 'hbos' is named twice$"):
+            run_benchmark([self._dataset()], detector_kinds=("hbos", "hbos"), T=8.0)
+        assert calls() == ["compute_fold_scores"]
+
     def test_accepted_costs_still_fit(self, monkeypatch, tmp_path):
         calls = self._spy(monkeypatch, tmp_path)
         run_benchmark([self._dataset()], detector_kinds=("iforest",), T=8.0, n_folds=2,
@@ -763,6 +785,20 @@ class TestFoldWorkers:
         expected = self._raised(monkeypatch, 1, ds, kinds, folds, 0)
         assert expected[0] is InsufficientData
         assert self._raised(monkeypatch, 2, ds, kinds, folds, 0) == expected
+        assert made == []
+
+    @pytest.mark.parametrize("kinds, message", [
+        (("hbos", "hbos"), "detector kind 'hbos' is named twice"),
+        (("knn", "iforest", "knn"), "detector kind 'knn' is named twice"),
+        (("iforest", "zap"), "unknown detector kind 'zap'"),
+    ], ids=["hbos-twice", "knn-twice", "unknown"])
+    def test_bad_kinds_refused_before_any_worker(self, monkeypatch, kinds, message):
+        # The folds are too small as well: the kinds are refused first.
+        made = self._pools(monkeypatch)
+        ds = Dataset(name="tiny", X=[[0.0], [1.0]], labels=None, gamma=0.0)
+        folds = make_folds(ds.n, 2, 0, ds.name)
+        error, text = self._raised(monkeypatch, 2, ds, kinds, folds, 0)
+        assert error is DomainError and text.startswith(message)
         assert made == []
 
 

@@ -481,6 +481,34 @@ class TestFeatureMode:
             "message": "a nearest-neighbour distance overflows a float",
         }
 
+    @pytest.mark.parametrize("kind", ["knn", "iforest"])
+    def test_negative_seed_exit_2(self, tmp_path, kind):
+        _, train = self._fit_detector_model(tmp_path, kind)
+        model = tmp_path / "negative.json"
+        proc = run_cli("fit", "--train", str(train), "--gamma", "0.1", "--detector",
+                       kind, "--seed", "-1", "--model-out", str(model))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "DomainError", "message": "seed must be >= 0, got -1"}
+        assert not model.exists()
+
+    def test_repeated_column_name_exit_2(self, tmp_path):
+        # A repeated name would make predict take one column for both.
+        model, train = self._fit_detector_model(tmp_path, "knn")
+        text = train.read_text()
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text(text.replace("x1,x2,x3", "x1,x2,x1", 1))
+        expected = {"type": "ParseError",
+                    "message": f"{repeated}: header repeats column name 'x1'"}
+        proc = run_cli("fit", "--train", str(repeated), "--gamma", "0.1", "--detector",
+                       "knn", "--model-out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"] == expected
+        proc = run_cli("predict", "--model", str(model), "--test", str(repeated))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"] == expected
+        assert proc.stdout == ""
+
     def test_label_column_only_exit_2(self, tmp_path):
         train = tmp_path / "labels.csv"
         train.write_text("label\n" + "0\n" * 30 + "1\n" * 3)
@@ -595,8 +623,9 @@ class TestBench:
             ("--t-tolerance", "3", "T must be >= 4"),
             ("--delta", "2", "delta must lie in (0, 1)"),
             ("--detectors", ",", "--detectors names no detector"),
+            ("--detectors", "hbos,hbos", "detector kind 'hbos' is named twice"),
         ],
-        ids=["folds", "t-tolerance", "delta", "detectors"],
+        ids=["folds", "t-tolerance", "delta", "detectors", "detectors-repeated"],
     )
     def test_folds_below_2_exit_2(self, tmp_path, flag, value, message):
         # Bad bench flags are refused before any dataset loads.
@@ -644,6 +673,18 @@ class TestBench:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ("skipping far: a nearest-neighbour distance overflows "
                                "a float\n")
+        assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
+
+    def test_repeated_column_name_skips_the_file(self, tmp_path):
+        data = self._write_dataset(tmp_path)
+        bad = data / "twice.csv"
+        bad.write_text((data / "toy.csv").read_text().replace("x1,x2", "x1,x1", 1))
+        out = tmp_path / "o"
+        proc = run_cli("bench", "--data-dir", str(data), "--detectors", "hbos",
+                       "--folds", "2", "--t-tolerance", "8", "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (f"skipping {bad}: {bad}: header repeats column "
+                               "name 'x1'\n")
         assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
 
     def test_empty_data_dir_exit_2(self, tmp_path):

@@ -6,7 +6,8 @@ import scipy.spatial
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adreject.core import DimensionMismatch, DomainError, InsufficientData, NonFiniteInput
+from adreject.core import (AdrejectError, DimensionMismatch, DomainError, InsufficientData,
+                           NonFiniteInput)
 import adreject.detectors as detectors
 from adreject.bench import Dataset, compute_fold_scores, detector_seed, make_folds
 from adreject.detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
@@ -46,6 +47,67 @@ class TestDetectorSpec:
             10,
             0,
         )
+
+
+# A spec field's edge values: only 0 (for seed) and np.int64(5) are valid.
+_SPEC_EDGES = st.sampled_from([0, -1, True, 2.5, 64.0, "3", None, np.int64(5)])
+_SPEC_LEAST = {"k": 1, "n_trees": 1, "subsample": 2, "n_bins": 1, "seed": 0}
+
+
+class TestSpecContract:
+    """Every spec DetectorSpec accepts can be fitted and scored; every
+    other value is refused where it enters, with DomainError."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="knn", k=2.5),
+        dict(kind="knn", k=True),
+        dict(kind="iforest", subsample=64.0),
+        dict(kind="iforest", seed=-1),
+        dict(kind=1),
+        dict(kind="knn", k="3"),
+        dict(kind="hbos", n_bins=None),
+        dict(kind="hbos", n_bins=np.bool_(True)),
+        dict(kind="iforest", n_trees=np.float64(5.0)),
+    ], ids=["k-float", "k-bool", "subsample-float", "seed-negative", "kind-int",
+            "k-str", "n_bins-none", "n_bins-numpy-bool", "n_trees-numpy-float"])
+    def test_refused(self, kwargs):
+        with pytest.raises(DomainError):
+            DetectorSpec(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = DetectorSpec("iforest", k=np.int64(5), n_trees=np.int32(3),
+                            subsample=np.uint8(64), n_bins=np.int16(4), seed=np.uint64(7))
+        assert [type(getattr(spec, name)) for name in _SPEC_LEAST] == [int] * 5
+        assert spec == DetectorSpec("iforest", 5, 3, 64, 4, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(DETECTOR_KINDS + ("zap",)),
+        fields=st.fixed_dictionaries({
+            "k": st.integers(1, 6), "n_trees": st.integers(1, 8),
+            "subsample": st.integers(2, 64), "n_bins": st.integers(1, 12),
+            "seed": st.integers(0, 2**32 - 1),
+        }),
+        edges=st.lists(st.tuples(st.sampled_from(list(_SPEC_LEAST)), _SPEC_EDGES),
+                       max_size=2),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_accepted_specs_fit_and_others_refused(self, kind, fields, edges, data_seed):
+        fields.update(edges)
+        valid = kind in DETECTOR_KINDS and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and v >= _SPEC_LEAST[name] for name, v in fields.items())
+        X = np.random.default_rng(data_seed).normal(size=(30, 3))
+        try:
+            det = fit_detector(DetectorSpec(kind, **fields), X)
+            train, test = det.train_scores(), det.score(X[:5] + 0.5)
+        except AdrejectError:
+            # Only the spec can be at fault: 30 rows fit every valid spec.
+            assert not valid
+            return
+        assert valid
+        assert train.shape == (30,) and test.shape == (5,)
+        assert np.isfinite(train).all() and np.isfinite(test).all()
 
 
 class TestMatrixValidation:
@@ -116,7 +178,7 @@ class TestMatrixValidation:
         with pytest.raises(DomainError, match=f"^{message}$"):
             fit_detector(DetectorSpec(kind=kind), X).train_scores()
         with pytest.raises(DomainError, match=f"^{message}$"):
-            detectors.fold_neighbour_scores(X, folds, (kind,), 10)
+            detectors._fold_neighbours(X, folds, (kind,), 10)
 
     @pytest.mark.parametrize("kind", ["knn", "lof"])
     def test_overflowing_query_distance_refused(self, kind):
@@ -448,10 +510,10 @@ class TestSharedNeighbourScores:
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
         if knn_k == lof_k:
-            got = detectors.fold_neighbour_scores(X, folds, ("knn", "lof"), knn_k)
+            got = detectors._fold_neighbours(X, folds, ("knn", "lof"), knn_k)
         else:
-            knn = detectors.fold_neighbour_scores(X, folds, ("knn",), knn_k)
-            lof = detectors.fold_neighbour_scores(X, folds, ("lof",), lof_k)
+            knn = detectors._fold_neighbours(X, folds, ("knn",), knn_k)
+            lof = detectors._fold_neighbours(X, folds, ("lof",), lof_k)
             got = [{**a, **b} for a, b in zip(knn, lof)]
         monkeypatch.undo()
         assert sum(whole_trees) == (1 if knn_k == lof_k else 2)
@@ -481,7 +543,7 @@ class TestSharedNeighbourScores:
         else:
             X = rng.integers(0, grid, size=(n, d)).astype(float)
         folds = make_folds(n, n_folds, seed)
-        got = detectors.fold_neighbour_scores(X, folds, ("knn", "lof"), k)
+        got = detectors._fold_neighbours(X, folds, ("knn", "lof"), k)
         _assert_fold_fits(got, X, folds, k)
 
     @staticmethod
@@ -495,7 +557,7 @@ class TestSharedNeighbourScores:
             return real_query(tree, Q, k)
 
         monkeypatch.setattr(detectors, "_query_loo", counting_query)
-        got = detectors.fold_neighbour_scores(X, folds, ("knn", "lof"), k)
+        got = detectors._fold_neighbours(X, folds, ("knn", "lof"), k)
         monkeypatch.undo()
         return got, sum(rows)
 

@@ -464,6 +464,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="model detector"):
             from_dict(state)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 0), ("seed", -1), ("subsample", 64.0), ("k", 2.5), ("k", True),
+        ("kind", 1), ("k", "3"),
+    ], ids=["k-zero", "seed-negative", "subsample-float", "k-float", "k-bool",
+            "kind-int", "k-str"])
+    def test_detector_spec_refused_on_load(self, tmp_path, field, value):
+        # DetectorSpec refuses these, so the model file is refused when it
+        # loads, not at predict.
+        path = tmp_path / "model.json"
+        save_model(_fit(np.arange(30.0), 0.1), path, detector=_detector_block())
+        state = json.loads(path.read_text())
+        state["detector"][field] = value
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="^model detector: "):
+            load_model(path)
+
+    def test_repeated_feature_names_refused(self):
+        # predict would score the column of the repeated name twice.
+        state = json.loads(json.dumps(to_dict(_fit(np.arange(30.0), 0.1))))
+        state["detector"] = {**_detector_block(), "feature_names": ["x1", "x1"]}
+        with pytest.raises(ValueError, match="feature_names must be distinct strings"):
+            from_dict(state)
+
 
 def _detector_block():
     return {
