@@ -38,17 +38,17 @@ from .core import (
     DomainError,
     EmptyResults,
     InsufficientData,
-    LabelLengthMismatch,
     MissingGamma,
-    NonBinaryLabels,
-    NonFiniteInput,
     ParseError,
     ScoreSet,
     ToleranceSpec,
+    _as_float,
+    _check_labels,
     validate_cost_spec,
+    validate_domain,
 )
 from .detectors import (DETECTOR_KINDS, _NEIGHBOUR_KINDS, DetectorSpec, _check_folds,
-                        _check_kinds, _fold_neighbours, fit_detector)
+                        _check_kinds, _check_matrix, _fold_neighbours, fit_detector)
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
 
 __all__ = [
@@ -102,9 +102,11 @@ def cost_preset(name: str, gamma: float) -> CostSpec:
 class Dataset:
     """A labeled (or score-only) benchmark dataset.
 
-    ``gamma`` is the declared contamination; when labels are present it
-    equals their mean.  ``X`` holds features, or a single column of
-    precomputed scores for externally scored data.
+    ``X`` holds features, or one column of precomputed scores; it must
+    pass ``_check_matrix`` and have 1 to ``MAX_ROWS`` rows.  Labels must
+    pass ``_check_labels`` and are stored as 0/1 ints.  ``gamma``, the
+    declared contamination, is stored as a ``float``; it must lie in
+    ``[0, 0.5)`` and, with labels, equal their mean.
     """
 
     name: str
@@ -114,36 +116,22 @@ class Dataset:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteInput(f"dataset {self.name}: features must be finite")
+        X = _check_matrix(self.X)
+        if X.shape[0] == 0:
+            raise InsufficientData(f"dataset {self.name}: no rows")
         if X.shape[0] > MAX_ROWS:
             raise DomainError(
                 f"dataset {self.name}: {X.shape[0]} rows exceeds cap {MAX_ROWS}"
             )
-        labels = self.labels
-        if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape != (X.shape[0],):
-                raise LabelLengthMismatch(
-                    f"dataset {self.name}: {labels.shape} labels for {X.shape[0]} rows"
-                )
-            lab = labels.astype(float)
-            if not np.all(np.isin(lab, (0.0, 1.0))):
-                raise NonBinaryLabels(f"dataset {self.name}: labels must be 0/1")
-            labels = lab.astype(int)
-            if abs(float(lab.mean()) - self.gamma) > 1.0 / X.shape[0]:
-                raise DomainError(
-                    f"dataset {self.name}: gamma {self.gamma} is not the label mean"
-                )
-        if not (0.0 <= self.gamma < 0.5):
-            raise DomainError(
-                f"dataset {self.name}: gamma must lie in [0, 0.5), got {self.gamma}"
-            )
+        labels = (None if self.labels is None
+                  else _check_labels(self.labels, X.shape[0]).astype(int))
+        gamma = _as_float(self.gamma, "gamma")
+        validate_domain(gamma=gamma)
+        if labels is not None and abs(float(labels.mean()) - gamma) > 1.0 / X.shape[0]:
+            raise DomainError(f"dataset {self.name}: gamma {gamma} is not the label mean")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def n(self) -> int:
@@ -721,6 +709,15 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    """Write a header and rows of cells, each through :func:`_fmt`."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+    return str(path)
+
+
 def write_report_files(results: list[TrialResult], report: dict, out_dir) -> dict:
     """Write report.json, trials.csv, rates_and_bounds.csv, timings.csv.
 
@@ -730,57 +727,28 @@ def write_report_files(results: list[TrialResult], report: dict, out_dir) -> dic
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(results, key=lambda r: (r.dataset, r.detector, r.fold, r.method))
-    trials_path = out / "trials.csv"
-    with trials_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_TRIAL_COLUMNS)
-        for r in ordered:
-            w.writerow([_fmt(getattr(r, c)) for c in _TRIAL_COLUMNS])
-    timings_path = out / "timings.csv"
-    with timings_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "detector", "fold", "method", "wall_time_threshold_ms"])
-        for r in ordered:
-            w.writerow(
-                [r.dataset, r.detector, r.fold, r.method, _fmt(r.wall_time_threshold_ms)]
-            )
-    rates_path = out / "rates_and_bounds.csv"
+    timing_columns = ["dataset", "detector", "fold", "method", "wall_time_threshold_ms"]
     rejex_by_ds: dict[str, list[TrialResult]] = {}
     for r in ordered:
         if r.method == "rejex":
             rejex_by_ds.setdefault(r.dataset, []).append(r)
-    with rates_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "dataset",
-                "r_hat_mean",
-                "rejection_rate_mean",
-                "bound_h_mean",
-                "cost_mean",
-                "cost_bound_mean",
-            ]
-        )
-        for ds in sorted(rejex_by_ds):
-            rows = rejex_by_ds[ds]
-            w.writerow(
-                [
-                    ds,
-                    _fmt(float(np.mean([r.r_hat for r in rows]))),
-                    _fmt(float(np.mean([r.rejection_rate for r in rows]))),
-                    _fmt(float(np.mean([r.bound_h for r in rows]))),
-                    _fmt(float(np.mean([r.cost_per_example for r in rows]))),
-                    _fmt(float(np.mean([r.cost_bound for r in rows]))),
-                ]
-            )
+    means = ["r_hat", "rejection_rate", "bound_h", "cost_per_example", "cost_bound"]
+    paths = {
+        "trials": _write_csv(out / "trials.csv", _TRIAL_COLUMNS,
+                             ([getattr(r, c) for c in _TRIAL_COLUMNS] for r in ordered)),
+        "rates_and_bounds": _write_csv(
+            out / "rates_and_bounds.csv",
+            ["dataset", "r_hat_mean", "rejection_rate_mean", "bound_h_mean", "cost_mean",
+             "cost_bound_mean"],
+            ([ds, *(float(np.mean([getattr(r, m) for r in rows])) for m in means)]
+             for ds, rows in sorted(rejex_by_ds.items())),
+        ),
+        "timings": _write_csv(out / "timings.csv", timing_columns,
+                              ([getattr(r, c) for c in timing_columns] for r in ordered)),
+    }
     report_path = out / "report.json"
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return {
-        "report": str(report_path),
-        "trials": str(trials_path),
-        "rates_and_bounds": str(rates_path),
-        "timings": str(timings_path),
-    }
+    return {"report": str(report_path), **paths}
 
 
 def run_benchmark(

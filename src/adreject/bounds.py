@@ -194,11 +194,10 @@ def expected_cost_upper_bound(
     False negatives can claim at most the smaller of the anomaly mass
     and the confident-normal mass; false positives at most the mass
     above the band; everything in between pays the rejection cost.
+    ``DomainError`` unless ``(A, B)`` make a :class:`RateEstimate` and
+    ``gamma`` lies in ``[0, 0.5)``.
     """
-    if not (0.0 <= below_band <= up_to_band <= 1.0):
-        raise DomainError(
-            f"need 0 <= A <= B <= 1, got A={below_band}, B={up_to_band}"
-        )
+    RateEstimate(below_band, up_to_band)
     validate_domain(gamma=gamma)
     return (
         min(gamma, below_band) * costs.c_fn

@@ -160,6 +160,31 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)``, refusing with a ``DomainError`` what ``float``
+    refuses and complex values, whose real part it would keep.  Numeric
+    strings and ``bool`` are taken, as ``float`` takes them."""
+    try:
+        if not np.iscomplexobj(value):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as a boolean vector; ``LabelLengthMismatch`` unless of
+    shape ``(n,)``, ``DomainError`` if complex, ``NonBinaryLabels`` on a
+    value other than 0 (normal) and 1 (anomaly)."""
+    lab = np.asarray(labels)
+    if lab.shape != (n,):
+        raise LabelLengthMismatch(f"expected {n} labels, got shape {lab.shape}")
+    lab = _as_real_array(lab, "labels")
+    if not np.all(np.isin(lab, (0.0, 1.0))):
+        raise NonBinaryLabels("labels must be 0 (normal) or 1 (anomaly)")
+    return lab.astype(bool)
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
     """A bag of training anomaly scores with a contamination factor.
@@ -178,7 +203,7 @@ class ScoreSet:
     NonFiniteInput
         If any score is NaN or infinite.
     DomainError
-        If ``gamma`` is outside ``[0, 0.5)``, or the scores are complex.
+        If ``gamma`` is not a number in ``[0, 0.5)``, or the scores are complex.
     """
 
     scores: np.ndarray
@@ -191,7 +216,7 @@ class ScoreSet:
             raise InsufficientData("need at least one training score")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInput("training scores must be finite")
-        g = float(self.gamma)
+        g = _as_float(self.gamma, "gamma")
         validate_domain(gamma=g)
         arr = arr.copy()
         arr.setflags(write=False)
@@ -225,16 +250,16 @@ class ToleranceSpec:
     Raises
     ------
     DomainError
-        If ``T`` is below 4, not finite, or so large that ``exp(-T)``
-        falls below the ``1e-250`` floor under which the tails are not
-        trusted.
+        If ``T`` is not a real number, is below 4, not finite, or so
+        large that ``exp(-T)`` falls below the ``1e-250`` floor under
+        which the tails are not trusted.
     """
 
     T: float
     epsilon: float = field(init=False)
 
     def __post_init__(self) -> None:
-        t = float(self.T)
+        t = _as_float(self.T, "T")
         validate_domain(T=t)
         edge = math.exp(-t)
         if edge < _BETAINC_TRUST_FLOOR:
@@ -267,7 +292,7 @@ class CostSpec:
 
     def __post_init__(self) -> None:
         for name in ("c_fp", "c_fn", "c_r"):
-            v = float(getattr(self, name))
+            v = _as_float(getattr(self, name), name)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)

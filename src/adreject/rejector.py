@@ -31,12 +31,11 @@ from .core import (
     CostSpec,
     Decision,
     DomainError,
-    LabelLengthMismatch,
-    NonBinaryLabels,
     NonFiniteInput,
     ScoreSet,
     ToleranceSpec,
     _as_real_array,
+    _check_labels,
     anomaly_count,
     anomaly_rank,
 )
@@ -197,16 +196,6 @@ def predict_batch(rejector: FittedRejector, scores) -> BatchPredictions:
     )
 
 
-def _check_labels(labels, n: int) -> np.ndarray:
-    lab = np.asarray(labels)
-    if lab.ndim != 1 or lab.size != n:
-        raise LabelLengthMismatch(f"expected {n} labels, got shape {lab.shape}")
-    lab = lab.astype(float)
-    if not np.all(np.isin(lab, (0.0, 1.0))):
-        raise NonBinaryLabels("labels must be 0 (normal) or 1 (anomaly)")
-    return lab.astype(bool)
-
-
 def empirical_cost(
     base_anomaly: np.ndarray,
     rejected: np.ndarray,
@@ -347,9 +336,10 @@ def from_dict(state: dict) -> FittedRejector:
     version = json.dumps(state.get("schema_version"))
     if version != json.dumps(SCHEMA_VERSION):
         raise ValueError(f"unsupported schema_version {version}")
-    try:
-        train = ScoreSet(np.asarray(state["scores_sorted"], dtype=float), state["gamma"])
-        rej = fit(train, ToleranceSpec(state["t_tolerance"]), delta=state["delta"])
+    try:  # float(): a mistyped gamma or t_tolerance is a TypeError, not a DomainError.
+        train = ScoreSet(np.asarray(state["scores_sorted"], dtype=float),
+                         float(state["gamma"]))
+        rej = fit(train, ToleranceSpec(float(state["t_tolerance"])), delta=state["delta"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model field missing or of the wrong type: {exc}") from None
     _check_detector_block(state.get("detector"))

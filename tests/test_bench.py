@@ -2,6 +2,7 @@ import csv
 import multiprocessing
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -40,6 +41,7 @@ from adreject.core import (
     CostSpec,
     DomainError,
     InsufficientData,
+    LabelLengthMismatch,
     NonBinaryLabels,
     NonFiniteInput,
     ScoreSet,
@@ -120,6 +122,53 @@ class TestDataset:
         X[3, 1] = np.inf
         with pytest.raises(NonFiniteInput):
             Dataset(name="nf", X=X, labels=np.zeros(10, dtype=int), gamma=0.0)
+
+
+class TestDatasetRefusals:
+    """Dataset asks the owners of the feature, label and gamma rules
+    (``_check_matrix``, ``_check_labels``, ``_as_float`` with
+    ``validate_domain``) instead of restating them; ``gamma`` values
+    that are not real numbers are in ``test_core.TestScalarParameters``."""
+
+    _X = np.random.default_rng(3).normal(size=(32, 2))
+    _Y = np.array([0] * 29 + [1] * 3)
+
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(X=_X + 1j), DomainError),
+        (dict(X=_X.reshape(32, 2, 1)), DomainError),
+        (dict(X=np.zeros((0, 2)), labels=np.zeros(0, dtype=int), gamma=0.0),
+         InsufficientData),
+        (dict(X=np.zeros((0, 2)), labels=None, gamma=0.0), InsufficientData),
+        (dict(labels=_Y + 0j), DomainError),
+        (dict(labels=_Y[:, None]), LabelLengthMismatch),
+        (dict(labels=None, gamma=0.5), DomainError),
+    ], ids=["complex-X", "3d-X", "no-rows-labelled", "no-rows", "complex-labels",
+            "2d-labels", "gamma-half"])
+    def test_refused(self, kwargs, error):
+        args = {**dict(name="d", X=self._X, labels=self._Y, gamma=3 / 32), **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                Dataset(**args)
+        assert isinstance(info.value, AdrejectError)
+
+    def test_stored_types(self):
+        ds = Dataset(name="d", X=self._X.tolist(), labels=self._Y.astype(bool),
+                     gamma=np.float32(3 / 32))
+        assert ds.X.dtype == float and ds.labels.dtype.kind == "i"
+        assert ds.labels.tolist() == self._Y.tolist() and type(ds.gamma) is float
+
+    @pytest.mark.parametrize("labels", [
+        _Y[:-1], _Y[:, None], np.r_[_Y[:-1], 2], np.r_[_Y[:-1], 0.5], np.r_[_Y[:-1], np.nan],
+        _Y + 0j,
+    ], ids=["short", "2d", "two", "half", "nan", "complex"])
+    def test_same_label_refusal_as_oracle_sweep(self, labels):
+        rej = fit(ScoreSet(self._X[:, 0], 3 / 32), ToleranceSpec(8.0))
+        with pytest.raises(AdrejectError) as by_sweep:
+            oracle_sweep(rej, labels, CostSpec(1.0, 1.0, 0.05))
+        with pytest.raises(AdrejectError) as by_dataset:
+            Dataset(name="d", X=self._X, labels=labels, gamma=3 / 32)
+        assert type(by_dataset.value) is type(by_sweep.value)
 
 
 class TestCsvLoading:

@@ -1,9 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from adreject.bench import MAX_ROWS, Dataset
+from adreject.bounds import expected_cost_upper_bound
 from adreject.core import (
+    AdrejectError,
     CostSpec,
     Decision,
     DomainError,
@@ -146,3 +153,125 @@ class TestDecision:
         assert str(Decision.ANOMALY) == "anomaly"
         assert str(Decision.REJECT) == "reject"
         assert {d.value for d in Decision} == {"normal", "anomaly", "reject"}
+
+
+# Values ``float`` refuses, or would cut to their real part.
+_NOT_REAL = [None, "x", "", 0.1 + 0j, np.complex128(0.1), [0.1], np.zeros(1), 10**400]
+
+
+class TestScalarParameters:
+    """ScoreSet.gamma, ToleranceSpec.T, the CostSpec fields and
+    Dataset.gamma go through one conversion, ``core._as_float``."""
+
+    _MAKERS = {
+        "ScoreSet.gamma": lambda v: ScoreSet([1.0, 2.0], v),
+        "ToleranceSpec.T": ToleranceSpec,
+        "CostSpec.c_fp": lambda v: CostSpec(v, 1.0, 0.0),
+        "CostSpec.c_fn": lambda v: CostSpec(1.0, v, 0.0),
+        "CostSpec.c_r": lambda v: CostSpec(1.0, 1.0, v),
+        "Dataset.gamma": lambda v: Dataset(name="d", X=[[0.0], [1.0]], labels=None,
+                                           gamma=v),
+    }
+
+    @pytest.mark.parametrize("value", _NOT_REAL, ids=["None", "str", "empty-str", "complex",
+                                                      "numpy-complex", "list", "array",
+                                                      "int-beyond-float"])
+    @pytest.mark.parametrize("maker", sorted(_MAKERS))
+    def test_not_a_real_number_refused(self, maker, value):
+        with pytest.raises(DomainError, match="must be a real number"):
+            self._MAKERS[maker](value)
+
+    def test_numeric_strings_and_bool_taken_as_float_takes_them(self):
+        assert ScoreSet([1.0], "0.1").gamma == 0.1
+        assert ToleranceSpec("32").T == 32.0
+        assert CostSpec(True, 1, False).c_fp == 1.0
+        assert CostSpec(True, 1, False).c_r == 0.0
+        ds = Dataset(name="d", X=[[0.0], [1.0]], labels=None, gamma=np.float32(0.25))
+        assert type(ds.gamma) is float and ds.gamma == 0.25
+
+
+class TestCostBoundEstimateRule:
+    """expected_cost_upper_bound checks ``0 <= A <= B <= 1`` by building a
+    RateEstimate, so both refuse the same pairs with the same message."""
+
+    @pytest.mark.parametrize("A,B", [(0.5, 0.2), (-0.1, 0.5), (0.2, 1.5), (np.nan, 0.5)])
+    def test_refused(self, A, B):
+        with pytest.raises(DomainError, match=r"need 0 <= A <= B <= 1"):
+            expected_cost_upper_bound(A, B, 0.1, CostSpec(1.0, 1.0, 0.1))
+
+
+_EDGE_SCALARS = [None, "0.1", "32", "x", True, False, 0.1 + 0j, np.complex128(0.1),
+                 math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 4.0, 575.6, 10**400,
+                 [0.1], np.zeros((0,)), np.zeros((1, 1, 1)), np.float32(0.1), np.int64(8)]
+_SCALARS = st.one_of(st.sampled_from(_EDGE_SCALARS), st.floats(), st.floats(0.0, 0.5),
+                     st.floats(3.9, 600.0), st.integers(-2, 1000))
+_ARRAYS = st.one_of(
+    hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+               elements=st.floats(-1e300, 1e300)),
+)
+
+
+def _holds(value) -> None:
+    """The invariants of a value one of the four constructors returned."""
+    if isinstance(value, ScoreSet):
+        assert type(value.gamma) is float and 0.0 <= value.gamma < 0.5
+        assert value.scores.dtype == float and value.scores.ndim == 1 and value.n >= 1
+        assert np.isfinite(value.scores).all()
+        assert value.sorted_scores.tolist() == sorted(value.scores.tolist())
+    elif isinstance(value, ToleranceSpec):
+        assert type(value.T) is float and 4.0 <= value.T <= 575.7
+        assert 0.0 < value.epsilon < 1.0 and value.tau + value.epsilon == 1.0
+    elif isinstance(value, CostSpec):
+        c = (value.c_fp, value.c_fn, value.c_r)
+        assert all(type(v) is float and math.isfinite(v) for v in c)
+        assert value.c_fp > 0.0 and value.c_fn > 0.0 and value.c_r >= 0.0
+    else:
+        X, labels = value.X, value.labels
+        assert X.dtype == float and X.ndim == 2 and 1 <= value.n <= MAX_ROWS
+        assert np.isfinite(X).all()
+        assert type(value.gamma) is float and 0.0 <= value.gamma < 0.5
+        if labels is not None:
+            assert labels.dtype.kind == "i" and labels.shape == (value.n,)
+            assert set(labels.tolist()) <= {0, 1}
+            assert abs(labels.mean() - value.gamma) <= 1.0 / value.n
+
+
+class TestInputContract:
+    """Every draw of edge values either builds a value whose invariants
+    hold or is refused with an AdrejectError: never a TypeError, and
+    never a complex value cut to its real part."""
+
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["ScoreSet", "ToleranceSpec", "CostSpec", "Dataset"]),
+           data=st.data())
+    def test_builds_or_refuses(self, kind, data):
+        if kind == "ScoreSet":
+            args, make = (data.draw(_ARRAYS), data.draw(_SCALARS)), ScoreSet
+        elif kind == "ToleranceSpec":
+            args, make = (data.draw(_SCALARS),), ToleranceSpec
+        elif kind == "CostSpec":
+            args, make = tuple(data.draw(_SCALARS) for _ in range(3)), CostSpec
+        else:
+            X = data.draw(_ARRAYS)
+            rows = X.shape[0] if X.ndim else 1
+            shape = (rows,) if data.draw(st.booleans()) else data.draw(
+                st.sampled_from([(rows, 1), (rows + 1,), ()]))
+            values = data.draw(hnp.arrays(np.int64, shape,
+                                          elements=st.sampled_from([0, 0, 0, 1, 1, 2])))
+            labels = data.draw(st.none() | st.sampled_from(
+                [values.astype(t) for t in (np.int64, np.float64, np.complex128)]))
+            consistent = labels is not None and values.size and data.draw(st.booleans())
+            gamma = float(values.mean()) if consistent else data.draw(_SCALARS)
+            args = ("d", X, labels, gamma)
+            make = Dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = make(*args)
+            except AdrejectError as exc:
+                event(f"{kind} refused: {type(exc).__name__}")
+                return
+        event(f"{kind} built")
+        _holds(value)

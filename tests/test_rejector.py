@@ -400,6 +400,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing or of the wrong type"):
             from_dict(state)
 
+    @pytest.mark.parametrize("field", ["gamma", "t_tolerance", "delta"])
+    def test_null_scalar_field_rejected(self, tmp_path, field):
+        # The constructors refuse None with DomainError; the loader keeps
+        # reporting a mistyped field as a ValueError.
+        state = to_dict(_fit(np.arange(20.0), 0.2))
+        state[field] = None
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="missing or of the wrong type"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "field,edit",
         [
