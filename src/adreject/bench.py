@@ -394,24 +394,24 @@ def _fit_fold(X, folds, spec: DetectorSpec, fold: int) -> tuple[np.ndarray, np.n
     return det.train_scores(), det.score(X[test_idx])
 
 
-# A pool worker's dataset matrix and folds, set once by the pool's
-# initializer: a forked worker inherits them without pickling.
-_worker_data: tuple = ()
+# A pool worker's datasets, ``{job: (X, folds)}``, set once by the
+# pool's initializer: a forked worker inherits them without pickling.
+_worker_data: dict = {}
 
 
-def _inherit(X, folds) -> None:
+def _inherit(data: dict) -> None:
     global _worker_data
-    _worker_data = X, folds
+    _worker_data = data
 
 
-def _fit_inherited(spec: DetectorSpec, fold: int) -> tuple[np.ndarray, np.ndarray]:
-    return _fit_fold(*_worker_data, spec, fold)
+def _fit_inherited(job: int, spec: DetectorSpec, fold: int) -> tuple[np.ndarray, np.ndarray]:
+    return _fit_fold(*_worker_data[job], spec, fold)
 
 
-def _fold_fitter(X, folds, n_tasks: int):
+def _fold_fitter(data: dict, n_tasks: int):
     """A pool of forked workers, one per CPU this process may use (at
-    most ``n_tasks``), that share ``X`` and ``folds``; ``None`` when that
-    is one worker or the platform cannot fork."""
+    most ``n_tasks``), that share ``data`` (``{job: (X, folds)}``);
+    ``None`` when that is one worker or the platform cannot fork."""
     # Imported here: only the research loop pays for them.
     import multiprocessing
 
@@ -421,10 +421,76 @@ def _fold_fitter(X, folds, n_tasks: int):
         return None
     from concurrent.futures import ProcessPoolExecutor
 
-    # Fork, so the workers inherit X and folds instead of unpickling a
+    # Fork, so the workers inherit the data instead of unpickling a
     # copy.  The executor forks them all before it starts its own thread.
     return ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_inherit, initargs=(X, folds))
+                               initializer=_inherit, initargs=(data,))
+
+
+def _scores_in_turn(jobs: list, seed: int, evaluate, skippable: tuple = ()) -> list:
+    """Score and evaluate every job on one pool of forked workers.
+
+    ``jobs[i]`` is a checked ``(dataset, kinds, folds)`` or the exception
+    its checks raised; ``evaluate(i, fold_scores)`` gets job i's
+    :func:`compute_fold_scores` result.  Returns, in job order, what
+    ``evaluate`` returned, the exception that stopped the job, or
+    ``None`` for a job not run.
+
+    Jobs run largest first (rows times columns, ties in job order), so
+    this process ends on the smallest job while the workers fit ahead.
+    A failure that is not ``skippable`` cancels only the later jobs in
+    job order: the first failure in job order is the one a loop over the
+    jobs would meet first.
+    """
+    stop = next((i for i, job in enumerate(jobs)
+                 if isinstance(job, Exception) and not isinstance(job, skippable)), len(jobs))
+    outcomes = [job if isinstance(job, Exception) else None for job in jobs]
+    order = sorted((i for i in range(stop) if outcomes[i] is None),
+                   key=lambda i: -jobs[i][0].X.size)
+    tasks = {i: [(DetectorSpec(kind=kind, seed=detector_seed(seed, jobs[i][0].name, kind, fold)),
+                  fold) for fold in range(len(jobs[i][2]))
+                 for kind in jobs[i][1] if kind not in _NEIGHBOUR_KINDS]
+             for i in order}
+    pool = _fold_fitter({i: (jobs[i][0].X, jobs[i][2]) for i in order},
+                        sum(map(len, tasks.values())))
+    try:
+        if pool is not None:
+            futures = {i: [pool.submit(_fit_inherited, i, *task) for task in tasks[i]]
+                       for i in order}
+        for i in order:
+            if i > stop:
+                continue
+            dataset, kinds, folds = jobs[i]
+            X = dataset.X
+            try:
+                if pool is None:
+                    # Lazy: the fits run, and raise, after the neighbour query.
+                    fits = (_fit_fold(X, folds, *task) for task in tasks[i])
+                else:
+                    fits = (future.result() for future in futures[i])
+                near = [kind for kind in kinds if kind in _NEIGHBOUR_KINDS]
+                per_fold = (_fold_neighbours(X, folds, near, DetectorSpec(near[0]).k)
+                            if near else [{} for _ in folds])
+                for (spec, fold), scores in zip(tasks[i], fits):
+                    per_fold[fold][spec.kind] = scores
+                outcomes[i] = evaluate(i, [{kind: scores[kind] for kind in kinds}
+                                           for scores in per_fold])
+            except Exception as exc:
+                outcomes[i] = exc
+                if not isinstance(exc, skippable):
+                    stop = i
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return outcomes
+
+
+def _result(outcome):
+    """An outcome of :func:`_scores_in_turn`; raises it if it is an
+    exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def compute_fold_scores(
@@ -446,33 +512,15 @@ def compute_fold_scores(
     run in this process.  An unknown or repeated kind and every
     fold-size refusal come before any worker starts; a failing fit
     raises its own exception, the first in fold order, and no worker
-    outlives the call.  With ``run_benchmark``'s folds and seed, callers can
-    precompute a score cache and replay trials for several cost presets
-    without refitting detectors or changing any output.
+    outlives the call.  This is one dataset of :func:`run_benchmark`'s
+    schedule: with its folds and seed, callers can precompute a score
+    cache and replay trials for several cost presets without refitting
+    detectors or changing any output.
     """
-    X = dataset.X
     _check_kinds(kinds)
-    _check_folds(kinds, folds, X.shape[1])
-    near = [kind for kind in kinds if kind in _NEIGHBOUR_KINDS]
-    fitted = [kind for kind in kinds if kind not in near]
-    tasks = [(DetectorSpec(kind=kind, seed=detector_seed(seed, dataset.name, kind, fold)),
-              fold) for fold in range(len(folds)) for kind in fitted]
-    pool = _fold_fitter(X, folds, len(tasks))
-    try:
-        if pool is None:
-            # Lazy: the fits run, and raise, after the neighbour query.
-            fits = (_fit_fold(X, folds, *task) for task in tasks)
-        else:
-            futures = [pool.submit(_fit_inherited, *task) for task in tasks]
-            fits = (future.result() for future in futures)
-        per_fold = (_fold_neighbours(X, folds, near, DetectorSpec(near[0]).k)
-                    if near else [{} for _ in folds])
-        for (spec, fold), scores in zip(tasks, fits):
-            per_fold[fold][spec.kind] = scores
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return [{kind: scores[kind] for kind in kinds} for scores in per_fold]
+    _check_folds(kinds, folds, dataset.X.shape[1])
+    [outcome] = _scores_in_turn([(dataset, kinds, folds)], seed, lambda i, scores: scores)
+    return _result(outcome)
 
 
 @dataclass(frozen=True)
@@ -764,36 +812,69 @@ def run_benchmark(
 ) -> list[TrialResult]:
     """Run the full trial grid: each dataset's fold plan made once
     (:func:`make_folds`), its detectors scored on every fold at once
-    (:func:`compute_fold_scores`), then one :func:`run_trial` per fold
-    and detector.
+    (as :func:`compute_fold_scores` scores them), then one
+    :func:`run_trial` per fold and detector; results in dataset order.
+
+    Every dataset is checked before any detector work.  The detectors
+    of all datasets are then fitted on one pool of forked workers,
+    largest dataset first, while this process scores and evaluates the
+    datasets in that order.  The exception raised is the one a loop over
+    the datasets in order would raise first.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
     """
-    tol = ToleranceSpec(T)
     results = []
+    for outcome in _benchmark_outcomes(datasets, detector_kinds, preset, T, delta, n_folds,
+                                       seed, custom_costs, scores_only):
+        results += _result(outcome)
+    return results
+
+
+def _benchmark_outcomes(datasets, detector_kinds, preset, T, delta, n_folds, seed,
+                        custom_costs, scores_only, skippable: tuple = ()) -> list:
+    """:func:`run_benchmark`'s trials of each dataset, or the exception
+    that stopped it, in dataset order (:func:`_scores_in_turn`); a
+    failure that is not ``skippable`` stops every later dataset."""
+    tol = ToleranceSpec(T)
+    jobs, costs = [], {}
     for dataset in datasets:
-        costs = custom_costs if custom_costs is not None else cost_preset(
-            preset, dataset.gamma
-        )
-        # run_trial's own checks, made before any detector work.
-        _check_costable(dataset, costs)
-        folds = make_folds(dataset.n, n_folds, seed, dataset.name)
+        try:
+            cost = custom_costs if custom_costs is not None else cost_preset(
+                preset, dataset.gamma
+            )
+            # run_trial's own checks, made before any detector work.
+            _check_costable(dataset, cost)
+            folds = make_folds(dataset.n, n_folds, seed, dataset.name)
+            if scores_only:
+                if dataset.X.shape[1] != 1:
+                    raise DomainError(
+                        f"dataset {dataset.name}: scores-only mode needs exactly one "
+                        f"score column, found {dataset.X.shape[1]}"
+                    )
+            else:
+                _check_kinds(detector_kinds)
+                _check_folds(detector_kinds, folds, dataset.X.shape[1])
+        except Exception as exc:
+            jobs.append(exc)
+            if not isinstance(exc, skippable):
+                break
+            continue
+        costs[len(jobs)] = cost
+        jobs.append((dataset, () if scores_only else detector_kinds, folds))
+
+    def trials(i: int, fold_scores: list) -> list[TrialResult]:
+        dataset, kinds, folds = jobs[i]
         if scores_only:
-            if dataset.X.shape[1] != 1:
-                raise DomainError(
-                    f"dataset {dataset.name}: scores-only mode needs exactly one "
-                    f"score column, found {dataset.X.shape[1]}"
-                )
             kinds = ("precomputed",)
             fold_scores = [{kinds[0]: (dataset.X[train_idx, 0], dataset.X[test_idx, 0])}
                            for train_idx, test_idx in folds]
-        else:
-            kinds = detector_kinds
-            fold_scores = compute_fold_scores(dataset, kinds, folds, seed)
+        results = []
         # Kind-major: the report's float means are summed in result order.
         for kind in kinds:
             for fold, (split, scores) in enumerate(zip(folds, fold_scores)):
                 results += run_trial(dataset, split, fold, scores[kind], kind,
-                                     costs, tol, delta)
-    return results
+                                     costs[i], tol, delta)
+        return results
+
+    return _scores_in_turn(jobs, seed, trials, skippable)

@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     ScoreSet,
     ToleranceSpec,
+    _as_float,
     validate_domain,
 )
 from .stability import (
@@ -110,7 +111,9 @@ class RejectionBandSpec:
 def rejection_band(
     n: int, gamma: float, T: float, delta: float = 0.05
 ) -> RejectionBandSpec:
-    """Build the band spec for a training size and tolerance."""
+    """Build the band spec for a training size and tolerance; ``delta``
+    is taken as ``gamma`` and ``T`` are (``core._as_float``)."""
+    delta = _as_float(delta, "delta")
     validate_domain(delta=delta)
     t1, t2 = band_edges(n, gamma, T)
     h = min(max(t2 - t1 + _dkw_term(n, delta), 0.0), 1.0)

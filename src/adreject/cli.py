@@ -18,11 +18,12 @@ import numpy as np
 
 from .bench import (
     COST_PRESETS,
+    _benchmark_outcomes,
+    _result,
     _split_label,
     aggregate,
     load_csv,
     read_csv_table,
-    run_benchmark,
     synthetic_suite,
     write_report_files,
 )
@@ -216,28 +217,31 @@ def _scores_from_model(state: dict, header: list[str], data: np.ndarray, test_pa
     return data[:, header.index(column)]
 
 
-def _predict_rows(scores: np.ndarray, batch):
+def _predict_rows(scores: np.ndarray, batch, n: int):
     """The predict CSV's body in blocks of at most ``_WRITE_ROWS`` rows,
     as ``csv.writer`` writes them: a float as its ``repr``, rows ended
     by ``\r\n``.
 
-    ``psi_n = j / n`` is one-to-one in a row's training count ``j``, and
+    ``psi_n = j / n`` comes from a row's training count ``j``, and
     ``p_anomaly``, ``confidence`` and the decision depend on ``j``
     alone, so everything after the score is formatted once per distinct
-    count the batch hits, from the first row with that count.
+    count the batch hits, from any row with that count.
     """
-    _, first, which = np.unique(batch.psi_n, return_index=True, return_inverse=True)
-    tails = np.array(
-        [f",{psi!r},{p!r},{c!r},{label}\r\n" for psi, p, c, label in zip(
-            batch.psi_n[first].tolist(), batch.p_anomaly[first].tolist(),
-            batch.confidence[first].tolist(),
-            _DECISION_LABELS[batch._codes()[first]].tolist())],
-        dtype=object,
-    )
+    # j < 2**52, so j / n times n rounds back to j.
+    j = np.rint(batch.psi_n * n).astype(np.intp)
+    row = np.full(n + 1, -1, dtype=np.intp)
+    row[j] = np.arange(j.size)
+    counts = np.flatnonzero(row >= 0)
+    first = row[counts]
+    tails = np.empty(n + 1, dtype=object)
+    tails[counts] = [f",{psi!r},{p!r},{c!r},{label}\r\n" for psi, p, c, label in zip(
+        batch.psi_n[first].tolist(), batch.p_anomaly[first].tolist(),
+        batch.confidence[first].tolist(),
+        _DECISION_LABELS[batch._codes()[first]].tolist())]
     for start in range(0, scores.size, _WRITE_ROWS):
         stop = start + _WRITE_ROWS
         yield "".join(chain.from_iterable(zip(map(repr, scores[start:stop].tolist()),
-                                              tails[which[start:stop]].tolist())))
+                                              tails[j[start:stop]].tolist())))
 
 
 def cmd_predict(args) -> int:
@@ -248,7 +252,7 @@ def cmd_predict(args) -> int:
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         out_fh.write(_PREDICT_HEADER)
-        for block in _predict_rows(scores, batch):
+        for block in _predict_rows(scores, batch, rejector.train.n):
             out_fh.write(block)
     finally:
         if args.out:
@@ -317,26 +321,18 @@ def cmd_bench(args) -> int:
     if not datasets:
         print("all datasets failed to load", file=sys.stderr)
         return 1
+    # One schedule for all datasets; a dataset refused with an
+    # AdrejectError is skipped, any other error ends the run.
+    outcomes = _benchmark_outcomes(
+        datasets, detector_kinds, preset or "q1", tol.T, args.delta, args.folds,
+        args.seed, custom, args.scores_only, skippable=(AdrejectError,),
+    )
     results = []
-    failures = 0
-    for dataset in datasets:
-        try:
-            results.extend(
-                run_benchmark(
-                    [dataset],
-                    detector_kinds=detector_kinds,
-                    preset=preset or "q1",
-                    T=tol.T,
-                    delta=args.delta,
-                    n_folds=args.folds,
-                    seed=args.seed,
-                    custom_costs=custom,
-                    scores_only=args.scores_only,
-                )
-            )
-        except AdrejectError as exc:
-            failures += 1
-            print(f"skipping {dataset.name}: {exc}", file=sys.stderr)
+    for dataset, outcome in zip(datasets, outcomes):
+        if isinstance(outcome, AdrejectError):
+            print(f"skipping {dataset.name}: {outcome}", file=sys.stderr)
+        else:
+            results += _result(outcome)
     if not results:
         print("all datasets failed", file=sys.stderr)
         return 1

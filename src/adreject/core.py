@@ -144,13 +144,17 @@ _BETAINC_TRUST_FLOOR = 1e-250
 
 
 def _as_real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array, refusing complex input with a
-    ``DomainError`` (a float cast would drop the imaginary part with only
-    a ``ComplexWarning``)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise DomainError(f"{name} must be real, got complex values")
-    return np.asarray(arr, dtype=float)
+    """``values`` as a float array, refusing with a ``DomainError`` what
+    the float cast refuses (a ragged list, an int beyond the float range,
+    a non-numeric string) and complex input, whose imaginary part the
+    cast would drop with only a ``ComplexWarning``."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            return np.asarray(arr, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be real numbers: {exc}") from None
+    raise DomainError(f"{name} must be real, got complex values")
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:

@@ -440,6 +440,18 @@ def _check_folds(kinds, folds, d: int) -> None:
             _check_rows(spec, train_idx.size, d)
 
 
+# Leaf size of the one tree _fold_neighbours queries for every row.  A
+# larger leaf visits fewer nodes and prunes less: at d=32 the query takes
+# a quarter to two fifths less CPU at 64 than at cKDTree's default 16,
+# and at d=2 about the same, where larger leaves lose
+# (BENCH_research_schedule.json).  Only a proven row keeps this tree's
+# answer, and a proven neighbourhood has no tie whose order the tree's
+# shape could pick, so no score depends on it.  Fitted detectors and
+# the per-fold fallback trees keep the default, which fixes LOF's order
+# among tied neighbours.
+_SHARED_LEAFSIZE = 64
+
+
 def _fold_neighbours(X: np.ndarray, folds, kinds, k: int) -> list[dict]:
     """kNN and/or LOF (``kinds``) scores of every fold of a checked
     matrix from one kd-tree over all its rows and one query of them.
@@ -464,7 +476,7 @@ def _fold_neighbours(X: np.ndarray, folds, kinds, k: int) -> list[dict]:
     # few rows to fall back.
     f = len(folds)
     n_query = min(n, -(-3 * (k + 2) * f // (2 * (f - 1))))
-    dist, idx = cKDTree(X).query(X, k=n_query, workers=-1)
+    dist, idx = cKDTree(X, leafsize=_SHARED_LEAFSIZE).query(X, k=n_query, workers=-1)
     # 32-bit row numbers halve the n x n_query index arrays, which set
     # the research loop's peak memory.
     idx = idx.astype(np.int32)

@@ -339,7 +339,11 @@ def from_dict(state: dict) -> FittedRejector:
     try:  # float(): a mistyped gamma or t_tolerance is a TypeError, not a DomainError.
         train = ScoreSet(np.asarray(state["scores_sorted"], dtype=float),
                          float(state["gamma"]))
-        rej = fit(train, ToleranceSpec(float(state["t_tolerance"])), delta=state["delta"])
+        delta = state["delta"]
+        # fit takes a numeric string as float() does; a model file holds a number.
+        if not isinstance(delta, (int, float)):
+            raise TypeError(f"delta is {delta!r}")
+        rej = fit(train, ToleranceSpec(float(state["t_tolerance"])), delta=delta)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model field missing or of the wrong type: {exc}") from None
     _check_detector_block(state.get("detector"))

@@ -663,10 +663,10 @@ class TestRunBenchmarkRefusesBeforeWork:
     def _spy(monkeypatch, tmp_path):
         # The fold fits run in forked workers, which inherit the patches:
         # each call appends a line to one file, so the log sees every
-        # process.
+        # process.  The pool maker logs how many fits it was given.
         log = tmp_path / "calls.log"
         log.touch()
-        real_fit, real_scores = bench.fit_detector, bench.compute_fold_scores
+        real_fit, real_fitter = bench.fit_detector, bench._fold_fitter
 
         def record(name):
             with log.open("a") as fh:
@@ -676,12 +676,12 @@ class TestRunBenchmarkRefusesBeforeWork:
             record("fit_detector")
             return real_fit(*args, **kwargs)
 
-        def scores_spy(*args, **kwargs):
-            record("compute_fold_scores")
-            return real_scores(*args, **kwargs)
+        def fitter_spy(data, n_tasks):
+            record(f"_fold_fitter({n_tasks})")
+            return real_fitter(data, n_tasks)
 
         monkeypatch.setattr(bench, "fit_detector", fit_spy)
-        monkeypatch.setattr(bench, "compute_fold_scores", scores_spy)
+        monkeypatch.setattr(bench, "_fold_fitter", fitter_spy)
         return lambda: log.read_text().splitlines()
 
     @staticmethod
@@ -711,19 +711,19 @@ class TestRunBenchmarkRefusesBeforeWork:
         with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
             run_benchmark([ds], detector_kinds=DETECTOR_KINDS, T=8.0,
                           custom_costs=costs)
-        assert calls() == []
+        assert calls() == ["_fold_fitter(0)"]
 
     def test_repeated_kind_fits_nothing(self, monkeypatch, tmp_path):
         calls = self._spy(monkeypatch, tmp_path)
         with pytest.raises(DomainError, match="^detector kind 'hbos' is named twice$"):
             run_benchmark([self._dataset()], detector_kinds=("hbos", "hbos"), T=8.0)
-        assert calls() == ["compute_fold_scores"]
+        assert calls() == ["_fold_fitter(0)"]
 
     def test_accepted_costs_still_fit(self, monkeypatch, tmp_path):
         calls = self._spy(monkeypatch, tmp_path)
         run_benchmark([self._dataset()], detector_kinds=("iforest",), T=8.0, n_folds=2,
                       custom_costs=CostSpec(1.0, 1.0, 0.05))
-        assert calls() == ["compute_fold_scores", "fit_detector", "fit_detector"]
+        assert calls() == ["_fold_fitter(2)", "fit_detector", "fit_detector"]
 
 
 @pytest.mark.parametrize("scores_only", [False, True], ids=["detectors", "scores-only"])
@@ -849,6 +849,97 @@ class TestFoldWorkers:
         error, text = self._raised(monkeypatch, 2, ds, kinds, folds, 0)
         assert error is DomainError and text.startswith(message)
         assert made == []
+
+
+class TestRunSchedule:
+    """run_benchmark checks every dataset first, then fits all their
+    detectors on one fork pool, largest dataset first: the results are
+    the per-dataset runs in input order, the exception is the one a loop
+    over the datasets in order meets first, and no worker outlives a
+    call; with one usable CPU or two."""
+
+    @staticmethod
+    def _dataset(name, n, d, wide_column=None):
+        # gamma 0.1; a wide column holds 1e308 but -1e308 in one row of
+        # fold 2's test part, so training folds 0 and 1 overflow.
+        rng = np.random.default_rng(n + d)
+        labels = (np.arange(n) % 10 == 0).astype(int)
+        X = rng.normal(size=(n, d)) + 2.0 * labels[:, None]
+        if wide_column is not None:
+            X[:, wide_column] = 1e308
+            X[make_folds(n, 3, 0, name)[2][1][0], wide_column] = -1e308
+        return Dataset(name=name, X=X, labels=labels, gamma=0.1)
+
+    _LAYOUTS = {
+        "ok": lambda: TestRunSchedule._dataset("ok", 60, 2),
+        "mid": lambda: TestRunSchedule._dataset("mid", 150, 2),
+        "large": lambda: TestRunSchedule._dataset("large", 240, 3),
+        "overflow": lambda: TestRunSchedule._dataset("overflow", 90, 2, wide_column=1),
+        "large-overflow": lambda: TestRunSchedule._dataset("large-overflow", 300, 2,
+                                                           wide_column=0),
+        "refused": lambda: Dataset(name="refused", X=np.zeros((200, 2)), labels=None,
+                                   gamma=0.1),
+    }
+
+    @staticmethod
+    def _run(monkeypatch, cpus, datasets, kinds):
+        """run_benchmark with ``cpus`` usable CPUs, checking that it made
+        one pool (or none, with one worker) and left no worker behind."""
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        real, pools = bench._fold_fitter, []
+
+        def fitter(data, n_tasks):
+            pool = real(data, n_tasks)
+            pools.append(pool is not None)
+            return pool
+
+        monkeypatch.setattr(bench, "_fold_fitter", fitter)
+        try:
+            return run_benchmark(datasets, detector_kinds=kinds, T=8.0, n_folds=3, seed=4)
+        finally:
+            monkeypatch.setattr(bench, "_fold_fitter", real)
+            assert multiprocessing.active_children() == []
+            fits = any(kind in ("iforest", "hbos") for kind in kinds)
+            assert pools == [cpus > 1 and fits]
+
+    @staticmethod
+    def _rows(results):
+        # Every field but the threshold step's wall time, floats by repr.
+        return [tuple(repr(getattr(r, c)) for c in bench._TRIAL_COLUMNS) for r in results]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kinds", [DETECTOR_KINDS, ("knn", "lof"), ("hbos", "iforest")],
+                             ids=["all", "knn-lof", "hbos-iforest"])
+    def test_equal_to_the_per_dataset_runs(self, monkeypatch, cpus, kinds):
+        # Input order is not size order, so the schedule reorders them.
+        datasets = [self._LAYOUTS[name]() for name in ("mid", "ok", "large")]
+        together = self._run(monkeypatch, cpus, datasets, kinds)
+        apart = [r for ds in datasets for r in self._run(monkeypatch, cpus, [ds], kinds)]
+        assert self._rows(together) == self._rows(apart)
+        assert [r.dataset for r in together][::len(together) // 3] == ["mid", "ok", "large"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("layout, error, message", [
+        (("ok", "overflow", "refused"), DomainError,
+         "hbos: the range of feature column 1 overflows a float (max - min is infinite)"),
+        (("ok", "refused", "overflow"), MissingGamma,
+         "dataset refused: labels are required to evaluate cost"),
+        (("ok", "overflow", "large-overflow"), DomainError,
+         "hbos: the range of feature column 1 overflows a float (max - min is infinite)"),
+        (("large", "large-overflow", "overflow"), DomainError,
+         "hbos: the range of feature column 0 overflows a float (max - min is infinite)"),
+    ], ids=["fit-then-check", "check-then-fit", "small-fit-then-large-fit",
+            "large-fit-then-small-fit"])
+    def test_first_error_in_input_order(self, monkeypatch, cpus, layout, error, message):
+        datasets = [self._LAYOUTS[name]() for name in layout]
+        # What a loop over the datasets, one run each, raises first.
+        with pytest.raises(AdrejectError) as first:
+            for ds in datasets:
+                self._run(monkeypatch, 1, [ds], ("hbos", "iforest"))
+        assert (type(first.value), str(first.value)) == (error, message)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            self._run(monkeypatch, cpus, datasets, ("hbos", "iforest"))
 
 
 class TestRankAuc:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 
@@ -673,6 +674,35 @@ class TestBench:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ("skipping far: a nearest-neighbour distance overflows "
                                "a float\n")
+        assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_skip_lines_in_input_order(self, tmp_path, monkeypatch, capsys, cpus):
+        # The schedule runs d_big first and c_tiny last; the skip lines
+        # still follow the file order.
+        import adreject.bench as bench
+        from adreject.cli import main
+
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        data = self._write_dataset(tmp_path)
+        wide = [1e308, -1e308]
+        (data / "b_wide.csv").write_text("x1,x2,label\n" + "".join(
+            f"{i % 3},{wide[i % 2]},{i % 10 == 0:d}\n" for i in range(100)))
+        (data / "c_tiny.csv").write_text("x1,x2,label\n1,2,0\n3,4,0\n5,6,0\n")
+        (data / "d_big.csv").write_text("x1,x2,label\n" + "".join(
+            f"{wide[i % 2]},{i % 3},{i % 10 == 0:d}\n" for i in range(300)))
+        out = tmp_path / "o"
+        code = main(["bench", "--data-dir", str(data), "--detectors", "hbos",
+                     "--folds", "2", "--t-tolerance", "8", "--out-dir", str(out)])
+        assert multiprocessing.active_children() == []
+        assert code == 0
+        overflow = "hbos: the range of feature column {} overflows a float (max - min is infinite)"
+        assert capsys.readouterr().err == (
+            f"skipping b_wide: {overflow.format(1)}\n"
+            "skipping c_tiny: need at least 2 training rows, got 1\n"
+            f"skipping d_big: {overflow.format(0)}\n"
+        )
         assert json.loads((out / "report.json").read_text())["datasets"] == ["toy"]
 
     def test_repeated_column_name_skips_the_file(self, tmp_path):

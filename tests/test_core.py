@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adreject.bench import MAX_ROWS, Dataset
-from adreject.bounds import expected_cost_upper_bound
+from adreject.bounds import expected_cost_upper_bound, rejection_band
 from adreject.core import (
     AdrejectError,
     CostSpec,
@@ -23,6 +23,7 @@ from adreject.core import (
     anomaly_rank,
     validate_cost_spec,
 )
+from adreject.rejector import fit
 
 
 class TestScoreSet:
@@ -205,6 +206,13 @@ _EDGE_SCALARS = [None, "0.1", "32", "x", True, False, 0.1 + 0j, np.complex128(0.
                  [0.1], np.zeros((0,)), np.zeros((1, 1, 1)), np.float32(0.1), np.int64(8)]
 _SCALARS = st.one_of(st.sampled_from(_EDGE_SCALARS), st.floats(), st.floats(0.0, 0.5),
                      st.floats(3.9, 600.0), st.integers(-2, 1000))
+# Score lists numpy cannot cast to one float vector: ints beyond the
+# float range, ragged rows, non-numeric strings, None, complex values.
+_SCORE_LISTS = st.lists(
+    st.one_of(st.floats(), st.sampled_from([10**400, -10**400, None, "1.5", "x", 1j,
+                                            [1.0], [1.0, 2.0]])),
+    max_size=6,
+)
 _ARRAYS = st.one_of(
     hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
                hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)),
@@ -248,7 +256,7 @@ class TestInputContract:
            data=st.data())
     def test_builds_or_refuses(self, kind, data):
         if kind == "ScoreSet":
-            args, make = (data.draw(_ARRAYS), data.draw(_SCALARS)), ScoreSet
+            args, make = (data.draw(_ARRAYS | _SCORE_LISTS), data.draw(_SCALARS)), ScoreSet
         elif kind == "ToleranceSpec":
             args, make = (data.draw(_SCALARS),), ToleranceSpec
         elif kind == "CostSpec":
@@ -275,3 +283,14 @@ class TestInputContract:
                 return
         event(f"{kind} built")
         _holds(value)
+
+    def test_delta_taken_as_float_takes_it(self):
+        # None is refused as gamma and T refuse it; a numeric string is taken.
+        train, tol = ScoreSet(np.arange(20.0), 0.2), ToleranceSpec(8.0)
+        for make in (lambda delta: rejection_band(20, 0.2, 8.0, delta),
+                     lambda delta: fit(train, tol, delta)):
+            with pytest.raises(DomainError, match="^delta must be a real number, got None$"):
+                make(None)
+        assert rejection_band(20, 0.2, 8.0, "0.05") == rejection_band(20, 0.2, 8.0, 0.05)
+        assert type(fit(train, tol, "0.05").band.delta) is float
+        assert fit(train, tol, "0.05").band == fit(train, tol, 0.05).band

@@ -526,8 +526,10 @@ class TestSharedNeighbourScores:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        n=st.integers(3, 300),
-        d=st.integers(1, 5),
+        # Up to 600 rows: the shared tree has several leaves at its leaf
+        # size; up to 40 columns: pruning at high d, ties on the grids.
+        n=st.integers(3, 600),
+        d=st.integers(1, 40),
         k=st.integers(1, 8),
         n_folds=st.integers(2, 6),
         grid=st.sampled_from([None, 2, 3, 5]),
@@ -545,6 +547,30 @@ class TestSharedNeighbourScores:
         folds = make_folds(n, n_folds, seed)
         got = detectors._fold_neighbours(X, folds, ("knn", "lof"), k)
         _assert_fold_fits(got, X, folds, k)
+
+    def test_only_the_shared_tree_is_shallower(self, monkeypatch):
+        # The fold fallback trees and a fitted LOF detector keep cKDTree's
+        # default leaf size, which fixes LOF's order among tied neighbours.
+        # Each row three times: every fold has rows to query again.
+        X = np.repeat(np.random.default_rng(62).normal(size=(60, 3)), 3, axis=0)
+        folds = make_folds(len(X), 3, 0)
+        real_tree, trees = scipy.spatial.cKDTree, []
+
+        def recording_tree(data, *args, **kwargs):
+            tree = real_tree(data, *args, **kwargs)
+            trees.append((len(data), tree.leafsize))
+            return tree
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", recording_tree)
+        got = detectors._fold_neighbours(X, folds, ("knn", "lof"), 5)
+        fit_detector(DetectorSpec("lof", k=5), X)
+        monkeypatch.undo()
+        default = real_tree(X).leafsize
+        assert detectors._SHARED_LEAFSIZE != default
+        assert trees == ([(len(X), detectors._SHARED_LEAFSIZE)]
+                         + [(train_idx.size, default) for train_idx, _ in folds]
+                         + [(len(X), default)])
+        _assert_fold_fits(got, X, folds, 5)
 
     @staticmethod
     def _fallback_rows(monkeypatch, X, folds, k):
