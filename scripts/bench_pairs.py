@@ -1,25 +1,23 @@
-"""Before/after evidence for a change to the research loop.
+"""Before/after evidence for a change, on fixed seeds.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_NAME.json
 
-Run from the root of a git checkout.  Writes one JSON file with three
-parts, all on fixed seeds:
+Run from the root of a git checkout.  Writes one JSON file with two
+parts:
 
-- ``leaf_size_grid``: single-thread CPU ms (minimum and median of 5
-  rounds) of ``cKDTree(X, leafsize=L).query(X, k=23)`` over the leaf
-  sizes ``L`` and six matrices, with whether the distances equal those
-  at the default leaf size bit for bit.  k=23 is the shared neighbour
-  query of k=10 over 5 folds.
 - ``pairs``: ``perfbench/run.py --workload W --seed S --seconds 20
   --trace 0`` on a copy of REV (``git archive``) and on a copy of this
   working tree (``src/``, ``perfbench/``, ``demos/``, ``BENCHMARK.json``),
-  alternating which side runs first (REV first on even seeds):
-  ``cv-sweep`` on seeds 0-9, ``score-stream`` and ``cli-roundtrip`` on
-  seeds 0-4.  Per metric: each side's [median, q1, q3]
-  (``statistics.quantiles``, n=4), the pairs the change wins, and the
-  change's median over REV's, minus 1.
+  on seeds 0-9 of every workload, alternating which side runs first
+  (REV first on even seeds).  Per metric: each side's [median, q1, q3]
+  (``statistics.quantiles``, n=4), the pairs the change wins, the
+  change's median over REV's, minus 1, and whether the change's median
+  lies within REV's quartiles.
 - ``predict_1m_rows``: ``demos/predict_large.py --rows 1000000 --seed 0
-  --repeats 3`` with each side's ``src/``, twice per side, alternating.
+  --repeats 3`` with each side's ``src/``, five times per side,
+  alternating which side runs first.  Per layer time, wall time and
+  peak RSS: each side's [median, q1, q3] over all its runs, and the
+  same quartile check.
 
 The runs go one after another.  The file records the machine,
 Python and numpy it ran on; compare numbers within one file only.
@@ -37,51 +35,15 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path.cwd()
-LEAF_SIZES = (16, 32, 64, 128, 256)
-PAIRS = {"cv-sweep": range(10), "score-stream": range(5), "cli-roundtrip": range(5)}
+WORKLOADS = ("score-stream", "cv-sweep", "cli-roundtrip")
+SEEDS = range(10)
 LOWER_IS_BETTER = {"setup_s", "batch_p50_ms", "batch_tail_ms", "peak_rss_mb"}
-
-
-def leaf_size_grid() -> dict:
-    sys.path.insert(0, str(ROOT / "src"))
-    from scipy.spatial import cKDTree
-
-    from adreject.bench import synthetic_suite
-
-    suite = {d.name.split("-")[0]: d.X for d in synthetic_suite(0) if d.X.shape[1] == 32}
-    rng = np.random.default_rng(0)
-    matrices = {
-        "gauss 5000x32": suite["gauss"],
-        "clusters 5000x32": suite["clusters"],
-        "moons 5000x32": suite["moons"],
-        "gauss 2000x8": rng.normal(size=(2000, 8)),
-        "normal 20000x8": rng.normal(size=(20000, 8)),
-        "normal 20000x2": rng.normal(size=(20000, 2)),
-    }
-    grid = {}
-    for name, X in matrices.items():
-        reference = cKDTree(X).query(X, k=23)[0]
-        times = {leaf: [] for leaf in LEAF_SIZES}
-        equal = {}
-        # Five rounds, alternating the order of the leaf sizes.
-        for rnd in range(5):
-            for leaf in LEAF_SIZES[::1 if rnd % 2 == 0 else -1]:
-                t0 = time.process_time()
-                dist, _ = cKDTree(X, leafsize=leaf).query(X, k=23)
-                times[leaf].append((time.process_time() - t0) * 1e3)
-                equal[leaf] = dist.tobytes() == reference.tobytes()
-        grid[name] = {str(leaf): {"cpu_ms_min": min(times[leaf]),
-                                  "cpu_ms_median": statistics.median(times[leaf]),
-                                  "dist_equal_default": equal[leaf]}
-                      for leaf in LEAF_SIZES}
-        print(name, {leaf: round(min(t)) for leaf, t in times.items()}, flush=True)
-    return grid
+PREDICT_ROUNDS = 5
 
 
 def checkouts(parent: str, work: Path) -> dict:
@@ -111,17 +73,27 @@ def quartiles(values: list[float]) -> list[float]:
     return [med, q1, q3]
 
 
+def compare(values: dict) -> dict:
+    """Each side's quartiles of one metric, and whether the change's
+    median lies within the parent's."""
+    parent, change = quartiles(values["parent"]), quartiles(values["change"])
+    return {"parent": parent, "change": change,
+            "change_vs_parent_median": change[0] / parent[0] - 1,
+            "change_median_within_parent_quartiles": parent[1] <= change[0] <= parent[2],
+            "values": values}
+
+
 def pairs(sides: dict) -> dict:
     summary = {}
-    for workload, seeds in PAIRS.items():
+    for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
-        for seed in seeds:
+        for seed in SEEDS:
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
             for name in order:
                 runs[name].append(run(sides[name], workload, seed))
             print(workload, seed, {name: round(r[-1]["metrics"]["batch_p50_ms"]["value"], 1)
                                    for name, r in runs.items()}, flush=True)
-        table = {"seeds": list(seeds),
+        table = {"seeds": list(SEEDS),
                  "failed": {n: sum(r["failed"] for r in rs) for n, rs in runs.items()},
                  "attempted": {n: sum(r["attempted"] for r in rs) for n, rs in runs.items()},
                  "correct": {n: all(r["correct"] for r in rs) for n, rs in runs.items()}}
@@ -129,13 +101,9 @@ def pairs(sides: dict) -> dict:
             values = {n: [r["metrics"][metric]["value"] for r in rs] for n, rs in runs.items()}
             sign = 1 if metric in LOWER_IS_BETTER else -1
             table[metric] = {
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
+                **compare(values),
                 "change_wins": sum(sign * (c - p) < 0
                                    for p, c in zip(values["parent"], values["change"])),
-                "change_vs_parent_median": (statistics.median(values["change"])
-                                            / statistics.median(values["parent"]) - 1),
-                "values": values,
             }
         summary[workload] = table
     return summary
@@ -143,16 +111,21 @@ def pairs(sides: dict) -> dict:
 
 def predict_1m(sides: dict) -> dict:
     runs = {"parent": [], "change": []}
-    for _ in range(2):
-        for name in ("parent", "change"):
+    for rnd in range(PREDICT_ROUNDS):
+        for name in ("parent", "change") if rnd % 2 == 0 else ("change", "parent"):
             env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
             out = subprocess.run(
                 [sys.executable, str(sides["change"] / "demos" / "predict_large.py"),
                  "--rows", "1000000", "--seed", "0", "--repeats", "3"],
                 env=env, capture_output=True, text=True, check=True)
             runs[name].append(json.loads(out.stdout.strip().splitlines()[-1]))
-    return {name: {"output_sha256": sorted({r["output_sha256"] for r in rs}),
-                   "median_ms": [r["median"] for r in rs]} for name, rs in runs.items()}
+        print("predict_1m_rows", rnd, {name: round(r[-1]["median"]["process_wall_ms"])
+                                       for name, r in runs.items()}, flush=True)
+    layers = list(runs["parent"][0]["runs"][0])
+    return {"output_sha256": {name: sorted({r["output_sha256"] for r in rs})
+                              for name, rs in runs.items()},
+            **{key: compare({name: [one[key] for r in rs for one in r["runs"]]
+                             for name, rs in runs.items()}) for key in layers}}
 
 
 def main() -> None:
@@ -166,7 +139,6 @@ def main() -> None:
     result = {"parent": args.parent, "command": " ".join(sys.argv),
               "machine": f"{cpu}, {len(os.sched_getaffinity(0))} usable CPUs",
               "python": platform.python_version(), "numpy": np.__version__}
-    result["leaf_size_grid"] = leaf_size_grid()
     with tempfile.TemporaryDirectory() as tmp:
         sides = checkouts(args.parent, Path(tmp))
         result["predict_1m_rows"] = predict_1m(sides)

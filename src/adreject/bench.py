@@ -13,7 +13,8 @@ negative, and ``c_r`` per rejection.  Three methods are compared:
   training fold (a ceiling, not a competitor).
 
 The contamination factor comes from the full dataset's labels; the
-decision threshold is recomputed on every training fold.
+decision threshold is recomputed on every training fold.  :func:`load_csv`
+reads a dataset's table with :mod:`adreject.tables`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import math
 import os
 import time
 import zlib
-from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,6 @@ from .core import (
     EmptyResults,
     InsufficientData,
     MissingGamma,
-    ParseError,
     ScoreSet,
     ToleranceSpec,
     _as_float,
@@ -50,6 +48,7 @@ from .core import (
 from .detectors import (DETECTOR_KINDS, _NEIGHBOUR_KINDS, DetectorSpec, _check_folds,
                         _check_kinds, _check_matrix, _fold_neighbours, fit_detector)
 from .rejector import empirical_cost, fit, oracle_sweep, predict_batch
+from .tables import read_csv_table, split_label
 
 __all__ = [
     "METHODS",
@@ -57,14 +56,12 @@ __all__ = [
     "Dataset",
     "TrialResult",
     "cost_preset",
-    "read_csv_table",
     "load_csv",
     "synthetic_suite",
     "make_folds",
     "detector_seed",
     "compute_fold_scores",
     "run_trial",
-    "rank_auc",
     "aggregate",
     "write_report_files",
     "run_benchmark",
@@ -138,114 +135,6 @@ class Dataset:
         return int(self.X.shape[0])
 
 
-def read_csv_table(path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV with a header row.
-
-    The body is first read in blocks of lines (``_read_blocks``); a file
-    that path does not take is read again cell by cell, which gives the
-    same table and raises every error.
-
-    Raises
-    ------
-    ParseError
-        On a header that repeats a column name (after stripping), and on
-        a non-numeric cell or ragged row, with 1-based coordinates (the
-        header is row 1).
-    """
-    path = Path(path)
-    try:
-        table = _read_blocks(path)
-    except (ValueError, csv.Error):
-        table = None
-    return table if table is not None else _read_cells(path)
-
-
-# Bytes of body lines the block reader holds at once.
-_BLOCK_BYTES = 1 << 18
-
-
-def _header(path: Path, reader) -> list[str]:
-    """The stripped column names of a CSV's first row; ``ParseError`` on
-    an empty file, or on a name given twice, which would make a column
-    taken by name ambiguous."""
-    try:
-        row = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected a header row") from None
-    names = [h.strip() for h in row]
-    twice = [name for name, count in Counter(names).items() if count > 1]
-    if twice:
-        raise ParseError(f"{path}: header repeats column name {twice[0]!r}")
-    return names
-
-
-def _read_blocks(path: Path) -> tuple[list[str], np.ndarray] | None:
-    """The table of a CSV whose body rows are each a line of plain
-    ``float`` cells, one per header column; ``None`` when the file has
-    no body row or its last line no line end, and ``ValueError`` when a
-    cell does not parse.  The header is read as in ``_read_cells``.
-
-    ``csv.reader`` takes the header.  A body line with no quote splits
-    into the cells ``csv.reader`` finds, its line end left on the last
-    cell, which ``float()`` strips as whitespace; a quote never parses
-    as a float.  So every cell goes through the same ``float()`` as in
-    ``_read_cells``, and a table read here is the one read there.
-    """
-    limit = csv.field_size_limit()
-    with path.open(newline="") as fh:
-        header = _header(path, csv.reader(fh))
-        commas = len(header) - 1
-        blocks = []
-        last = ""
-        # Splitting on "," needs each line to be one row of the header's
-        # width; a line longer than the field limit makes csv.reader fail.
-        while lines := fh.readlines(_BLOCK_BYTES):
-            if (set(map(str.count, lines, repeat(","))) != {commas}
-                    or max(map(len, lines)) > limit):
-                return None
-            cells = ",".join(lines).split(",")
-            blocks.append(np.fromiter(map(float, cells), dtype=float,
-                                      count=len(cells)).reshape(len(lines), -1))
-            last = lines[-1]
-    if not blocks or not last.endswith(("\n", "\r")):
-        return None
-    return header, np.concatenate(blocks)
-
-
-def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
-    """The table read cell by cell; raises ``read_csv_table``'s errors."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = _header(path, reader)
-        rows: list[list[float]] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {i} has {len(row)} cells, header has {len(header)}"
-                )
-            out = []
-            for j, cell in enumerate(row, start=1):
-                try:
-                    out.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {i}, column {j}: could not parse {cell.strip()!r}"
-                    ) from None
-            rows.append(out)
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    return header, data
-
-
-def _split_label(header: list[str], data: np.ndarray, label_column: str):
-    """Feature names, feature columns and the label column (``None`` when
-    ``label_column`` is not in ``header``) of a table."""
-    if label_column not in header:
-        return list(header), data, None
-    li = header.index(label_column)
-    keep = [j for j in range(len(header)) if j != li]
-    return [header[j] for j in keep], data[:, keep], data[:, li]
-
-
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Load a labeled benchmark dataset from CSV; gamma is the label mean.
 
@@ -256,7 +145,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     header, data = read_csv_table(path)
     if data.shape[0] == 0:
         raise InsufficientData(f"{path}: no data rows")
-    names, X, labels = _split_label(header, data, label_column)
+    names, X, labels = split_label(header, data, label_column)
     if labels is None:
         raise MissingGamma(f"{path}: no {label_column!r} column to take gamma from")
     if X.shape[0] > MAX_ROWS:
@@ -648,18 +537,6 @@ def _average_ranks(values) -> np.ndarray:
     ranks = np.empty(a.size)
     ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
     return ranks
-
-
-def rank_auc(scores, labels) -> float:
-    """Area under the ROC curve via the rank statistic (ties averaged)."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels).astype(bool)
-    n_pos = int(np.count_nonzero(y))
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DomainError("AUC needs both classes present")
-    ranks = _average_ranks(s)
-    return (ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

@@ -1,4 +1,5 @@
-"""Command-line interface: fit, predict, verify, bench.
+"""Command-line interface: fit, predict, verify, bench.  It reads tables,
+takes their columns and writes predictions through :mod:`adreject.tables`.
 
 Exit codes: 0 success, 1 property or benchmark failure, 2 usage or
 validation error.  Validation errors print a machine-readable JSON
@@ -11,7 +12,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,26 +20,17 @@ from .bench import (
     COST_PRESETS,
     _benchmark_outcomes,
     _result,
-    _split_label,
     aggregate,
     load_csv,
-    read_csv_table,
     synthetic_suite,
     write_report_files,
 )
-from .core import (AdrejectError, CostSpec, Decision, DomainError, ScoreSet,
-                   ToleranceSpec, validate_domain)
+from .core import AdrejectError, CostSpec, DomainError, ScoreSet, ToleranceSpec, validate_domain
 from .detectors import DETECTOR_KINDS, DetectorSpec, _check_kinds, fit_detector
 from .rejector import fit, load_model, predict_batch, save_model
+from .tables import read_csv_table, split_label, take_columns, write_predictions
 
 __all__ = ["build_parser", "main", "console_entry"]
-
-_PREDICT_COLUMNS = ("score", "psi_n", "p_anomaly", "confidence", "decision")
-_PREDICT_HEADER = ",".join(_PREDICT_COLUMNS) + "\r\n"
-# Rows formatted per write, which bounds the output text held at once.
-_WRITE_ROWS = 1 << 16
-# Indexed by BatchPredictions._codes().
-_DECISION_LABELS = np.array([str(d) for d in Decision])
 
 
 def _error_object(kind: str, message: str) -> int:
@@ -137,10 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fit(args) -> int:
     header, data = read_csv_table(args.train)
-    names, X, _ = _split_label(header, data, args.label_column)
+    names, X, _ = split_label(header, data, args.label_column)
     tol = ToleranceSpec(args.t_tolerance)
-    detector_state = None
-    score_column = None
+    detector_state = score_column = None
     if args.detector is not None:
         spec = DetectorSpec(kind=args.detector, seed=args.seed)
         det = fit_detector(spec, X)
@@ -148,21 +138,13 @@ def cmd_fit(args) -> int:
         detector_state = {**asdict(spec), "feature_names": names,
                           "train_matrix": X.tolist()}
     else:
-        if args.score_column is not None:
-            if args.score_column not in names:
-                raise DomainError(
-                    f"score column {args.score_column!r} not in {args.train}: "
-                    f"columns are {names}"
-                )
-            score_column = args.score_column
-        elif len(names) == 1:
-            score_column = names[0]
-        else:
+        if args.score_column is None and len(names) != 1:
             raise DomainError(
                 f"{args.train} has {len(names)} non-label columns; pass "
                 "--score-column to pick one or --detector to fit on features"
             )
-        scores = X[:, names.index(score_column)]
+        score_column = names[0] if args.score_column is None else args.score_column
+        scores = take_columns(names, X, [score_column], args.train)[:, 0]
     train = ScoreSet(scores, args.gamma)
     rejector = fit(train, tol, delta=args.delta)
     state = save_model(rejector, args.model_out, score_column=score_column,
@@ -189,12 +171,6 @@ def cmd_fit(args) -> int:
 def _scores_from_model(state: dict, header: list[str], data: np.ndarray, test_path):
     detector_state = state.get("detector")
     if detector_state is not None:
-        missing = [c for c in detector_state["feature_names"] if c not in header]
-        if missing:
-            raise DomainError(
-                f"{test_path} is missing model feature columns {missing}"
-            )
-        cols = [header.index(c) for c in detector_state["feature_names"]]
         spec = DetectorSpec(**{f.name: detector_state[f.name] for f in fields(DetectorSpec)})
         det = fit_detector(spec, np.asarray(detector_state["train_matrix"], dtype=float))
         # The refitted detector must reproduce the scores the rejector was
@@ -205,43 +181,10 @@ def _scores_from_model(state: dict, header: list[str], data: np.ndarray, test_pa
                 "model detector does not reproduce scores_sorted: its spec or "
                 "train_matrix was changed"
             )
-        if data.shape[0] == 0:
-            return np.empty(0)
-        return det.score(data[:, cols])
-    column = state.get("score_column")
-    if column not in header:
-        raise DomainError(
-            f"{test_path} has no column {column!r} required by the model: "
-            f"columns are {header}"
-        )
-    return data[:, header.index(column)]
-
-
-def _predict_rows(scores: np.ndarray, batch, n: int):
-    """The predict CSV's body in blocks of at most ``_WRITE_ROWS`` rows,
-    as ``csv.writer`` writes them: a float as its ``repr``, rows ended
-    by ``\r\n``.
-
-    ``psi_n = j / n`` comes from a row's training count ``j``, and
-    ``p_anomaly``, ``confidence`` and the decision depend on ``j``
-    alone, so everything after the score is formatted once per distinct
-    count the batch hits, from any row with that count.
-    """
-    # j < 2**52, so j / n times n rounds back to j.
-    j = np.rint(batch.psi_n * n).astype(np.intp)
-    row = np.full(n + 1, -1, dtype=np.intp)
-    row[j] = np.arange(j.size)
-    counts = np.flatnonzero(row >= 0)
-    first = row[counts]
-    tails = np.empty(n + 1, dtype=object)
-    tails[counts] = [f",{psi!r},{p!r},{c!r},{label}\r\n" for psi, p, c, label in zip(
-        batch.psi_n[first].tolist(), batch.p_anomaly[first].tolist(),
-        batch.confidence[first].tolist(),
-        _DECISION_LABELS[batch._codes()[first]].tolist())]
-    for start in range(0, scores.size, _WRITE_ROWS):
-        stop = start + _WRITE_ROWS
-        yield "".join(chain.from_iterable(zip(map(repr, scores[start:stop].tolist()),
-                                              tails[j[start:stop]].tolist())))
+        # Copied only for the call: a copy made before the refit, or kept
+        # in a local, raised predict's peak RSS by its size.
+        return det.score(take_columns(header, data, detector_state["feature_names"], test_path))
+    return take_columns(header, data, [state.get("score_column")], test_path)[:, 0]
 
 
 def cmd_predict(args) -> int:
@@ -249,14 +192,11 @@ def cmd_predict(args) -> int:
     header, data = read_csv_table(args.test)
     scores = _scores_from_model(state, header, data, args.test)
     batch = predict_batch(rejector, scores)
-    out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out_fh.write(_PREDICT_HEADER)
-        for block in _predict_rows(scores, batch, rejector.train.n):
-            out_fh.write(block)
-    finally:
-        if args.out:
-            out_fh.close()
+    if args.out:
+        with open(args.out, "w", newline="") as out_fh:
+            write_predictions(out_fh, scores, batch, rejector.train.n)
+    else:
+        write_predictions(sys.stdout, scores, batch, rejector.train.n)
     return 0
 
 

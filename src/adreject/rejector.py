@@ -34,6 +34,7 @@ from .core import (
     NonFiniteInput,
     ScoreSet,
     ToleranceSpec,
+    _as_float_vector,
     _as_real_array,
     _check_labels,
     anomaly_count,
@@ -176,12 +177,13 @@ def predict_batch(rejector: FittedRejector, scores) -> BatchPredictions:
     ``k_lo <= j < k_hi``: both tails of its stability distribution are at
     least ``exp(-T)``, as settled at fit time for every count.  A score
     costs a search in the sorted training scores and a lookup in the
-    fitted table.  Non-finite scores raise ``NonFiniteInput``, complex
-    ones ``DomainError``.
+    fitted table.  ``scores`` must squeeze to at most one dimension;
+    other shapes and complex scores raise ``DomainError``, non-finite
+    ones ``NonFiniteInput``.
     """
     arr = _as_real_array(scores, "scores to predict")
     if arr.ndim != 1:
-        arr = np.atleast_1d(np.squeeze(arr))
+        arr = _as_float_vector(np.atleast_1d(np.squeeze(arr)), "scores to predict")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("scores to predict must be finite")
     train = rejector.train

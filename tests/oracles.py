@@ -141,6 +141,49 @@ def bisection_rate_estimate(scores, gamma: float, T: float):
     return below, up_to
 
 
+def exact_tail_numerators(j: int, n: int, a: int) -> tuple[int, int]:
+    """``(U, L)``: the upper tail ``P(X >= n - a + 1)`` and the lower tail
+    ``P(X <= n - a)`` of ``X ~ Binomial(n, q)`` at ``q = (1 + j) / (n + 2)``,
+    each times ``(n + 2)**n``, so both are integers.
+
+    ``U = sum_{i >= n-a+1} C(n, i) (1 + j)**i (n + 1 - j)**(n - i)``, and the
+    terms over all ``i`` sum to ``(n + 2)**n``, so ``L`` is the rest.
+    """
+    k = n - a + 1
+    up, power = 0, (1 + j) ** k
+    for i in range(k, n + 1):
+        up += math.comb(n, i) * power * (n + 1 - j) ** (n - i)
+        power *= 1 + j
+    return up, (n + 2) ** n - up
+
+
+def exact_cutoff_mismatches(n: int, a: int, edge: float, k_lo: int,
+                            k_hi: int) -> list[str]:
+    """The sides of ``k_lo`` and ``k_hi`` that exact arithmetic refutes.
+
+    ``k_lo`` must be the first count ``j`` in ``[0, n]`` whose upper tail
+    reaches ``edge`` and ``k_hi`` the first whose lower tail falls below
+    it, ``n + 1`` when none does.  The tails are monotone in ``j``, so
+    only the counts on either side of each cutoff are evaluated, with
+    ``a = floor(n * gamma) >= 1``.  ``edge`` is a float, hence a dyadic
+    rational, and each comparison is one of integers.
+    """
+    e = Fraction(edge)
+    total = (n + 2) ** n
+
+    def reaches(numerator: int) -> bool:  # numerator / total >= edge
+        return numerator * e.denominator >= e.numerator * total
+
+    wrong = []
+    for name, cut, side, want_at_cut in (("k_lo", k_lo, 0, True), ("k_hi", k_hi, 1, False)):
+        if not 0 <= cut <= n + 1:
+            wrong.append(f"{name}={cut} is not a count in [0, n + 1]")
+        for j, want in ((cut - 1, not want_at_cut), (cut, want_at_cut)):
+            if 0 <= j <= n and reaches(exact_tail_numerators(j, n, a)[side]) != want:
+                wrong.append(f"{name}={cut}: tail at j={j} {'<' if want else '>='} edge")
+    return wrong
+
+
 def brute_training_frequency(train_scores, s: float) -> float:
     count = sum(1 for v in train_scores if v <= s)
     return count / len(train_scores)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import adreject.bench as bench
+import adreject.tables as tables
 from adreject.bench import (
     COST_PRESETS,
     MAX_ROWS,
@@ -20,7 +21,6 @@ from adreject.bench import (
     Dataset,
     EmptyResults,
     MissingGamma,
-    ParseError,
     TrialResult,
     aggregate,
     compute_fold_scores,
@@ -28,9 +28,7 @@ from adreject.bench import (
     detector_seed,
     load_csv,
     make_folds,
-    rank_auc,
     _average_ranks,
-    read_csv_table,
     run_benchmark,
     run_trial,
     synthetic_suite,
@@ -44,11 +42,13 @@ from adreject.core import (
     LabelLengthMismatch,
     NonBinaryLabels,
     NonFiniteInput,
+    ParseError,
     ScoreSet,
     ToleranceSpec,
 )
 from adreject.detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
 from adreject.rejector import empirical_cost, fit, oracle_sweep, predict_batch
+from adreject.tables import read_csv_table
 
 
 def _toy_dataset(n=300, gamma=0.1, seed=0, name="toy"):
@@ -298,9 +298,9 @@ class TestBlockReader:
     def _same(tmp_dir, text, block_bytes):
         p = Path(tmp_dir) / "t.csv"
         p.write_bytes(text if isinstance(text, bytes) else text.encode())
-        with mock.patch.object(bench, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(tables, "_BLOCK_BYTES", block_bytes):
             got = _outcome(read_csv_table, p)
-        assert got == _outcome(bench._read_cells, p)
+        assert got == _outcome(tables._read_cells, p)
         return got
 
     @settings(max_examples=300, deadline=None)
@@ -320,10 +320,20 @@ class TestBlockReader:
         X, text = self._plain(20000)
         p = tmp_path / "t.csv"
         p.write_text(text)
-        header, data = bench._read_blocks(p)
+        header, data = tables._read_blocks(p)
         assert header == ["a", "b", "c"]
         assert data.view("u8").tobytes() == X.view("u8").tobytes()
         self._same(tmp_path, text, 1 << 18)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_file_takes_the_block_path(self, tmp_path, end):
+        X, text = self._plain(50)
+        p = tmp_path / "t.csv"
+        p.write_text(text.replace("\n", end), newline="")
+        with mock.patch.object(tables, "_read_cells", side_effect=AssertionError("cell loop")):
+            header, data = read_csv_table(p)
+        assert header == ["a", "b", "c"]
+        assert data.view("u8").tobytes() == X.view("u8").tobytes()
 
     @pytest.mark.parametrize("text", [
         "a,b\n1,2\n3\n",           # a row one cell short
@@ -339,7 +349,7 @@ class TestBlockReader:
     def test_fallback_without_a_cell_error(self, tmp_path, text):
         p = tmp_path / "t.csv"
         p.write_text(text, newline="")
-        assert bench._read_blocks(p) is None
+        assert tables._read_blocks(p) is None
         self._same(tmp_path, text, 1 << 18)
 
     @pytest.mark.parametrize("text", [
@@ -352,7 +362,7 @@ class TestBlockReader:
         p = tmp_path / "t.csv"
         p.write_text(text, newline="")
         with pytest.raises(ValueError):
-            bench._read_blocks(p)
+            tables._read_blocks(p)
         self._same(tmp_path, text, 1 << 18)
 
     @pytest.mark.parametrize("text", [
@@ -377,7 +387,7 @@ class TestBlockReader:
         text = "a\n" + "0" * (csv.field_size_limit() + 1) + "1\n"
         p = tmp_path / "t.csv"
         p.write_text(text)
-        assert bench._read_blocks(p) is None
+        assert tables._read_blocks(p) is None
         with pytest.raises(csv.Error, match="field larger than field limit"):
             read_csv_table(p)
 
@@ -386,7 +396,7 @@ class TestBlockReader:
         text += "1,2,zap\n"
         p = tmp_path / "t.csv"
         p.write_text(text)
-        with mock.patch.object(bench, "_BLOCK_BYTES", 100):
+        with mock.patch.object(tables, "_BLOCK_BYTES", 100):
             with pytest.raises(ParseError, match=r"row 52, column 3: could not parse 'zap'"):
                 read_csv_table(p)
 
@@ -429,9 +439,12 @@ class TestSyntheticSuite:
         ds = next(d for d in synthetic_suite(seed=0) if d.name == "gauss-n2000-d8-g0.1")
         from adreject.detectors import fit_detector
 
-        det = fit_detector(DetectorSpec(kind="knn"), ds.X)
-        auc = rank_auc(det.score(ds.X), ds.labels)
-        assert auc > 0.8
+        scores = fit_detector(DetectorSpec(kind="knn"), ds.X).score(ds.X)
+        # AUC by pair counting: a (positive, negative) pair counts 1 when
+        # ordered and 1/2 when tied.
+        pos, neg = scores[ds.labels == 1], scores[ds.labels == 0]
+        wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
+        assert wins / (pos.size * neg.size) > 0.8
 
 
 class TestFolds:
@@ -940,33 +953,6 @@ class TestRunSchedule:
         assert (type(first.value), str(first.value)) == (error, message)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             self._run(monkeypatch, cpus, datasets, ("hbos", "iforest"))
-
-
-class TestRankAuc:
-    def test_frozen_example(self):
-        # scores (1,2,3,4), positives at the top two: AUC = 1.
-        assert rank_auc([1, 2, 3, 4], [0, 0, 1, 1]) == 1.0
-        # positives {2, 4} vs negatives {1, 3}: 3 of 4 pairs ordered.
-        assert rank_auc([1, 2, 3, 4], [0, 1, 0, 1]) == 0.75
-
-    def test_ties_average(self):
-        assert rank_auc([1.0, 1.0], [0, 1]) == 0.5
-
-    def test_single_class_rejected(self):
-        with pytest.raises(DomainError):
-            rank_auc([1.0, 2.0], [1, 1])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_tied_scores_equal_pair_counting(self, seed):
-        # Mann-Whitney: each (positive, negative) pair counts 1 when
-        # ordered and 1/2 when tied.  Both sides are exact half-integers
-        # over the same product, so they agree exactly.
-        rng = np.random.default_rng(seed)
-        scores = rng.integers(0, 5, size=60).astype(float)
-        labels = rng.random(60) < 0.3
-        pos, neg = scores[labels], scores[~labels]
-        wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
-        assert rank_auc(scores, labels) == wins / (pos.size * neg.size)
 
 
 def _assert_ranks_equal_rankdata(values):

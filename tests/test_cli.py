@@ -228,8 +228,8 @@ class TestPredict:
     def test_bytes_equal_csv_writer(self, tmp_path, train_csv):
         # Every training score twice (repeated counts), and scores below
         # and above all of them (counts 0 and n).
-        from adreject.bench import read_csv_table
         from adreject.rejector import load_model, predict_batch
+        from adreject.tables import read_csv_table
 
         model, _ = self._fit(tmp_path, train_csv)
         train = read_csv_table(train_csv)[1][:, 0]
@@ -442,6 +442,29 @@ class TestFeatureMode:
         assert error["type"] == "ValueError"
         assert "does not reproduce scores_sorted" in error["message"]
         assert proc.stdout == ""
+
+    def test_missing_columns_named_in_one_error(self, tmp_path):
+        model, _ = self._fit_detector_model(tmp_path, "knn")
+        table = tmp_path / "other.csv"
+        table.write_text("x2,y\n1.0,2.0\n")
+        proc = run_cli("predict", "--model", str(model), "--test", str(table))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "DomainError",
+            "message": f"{table} is missing columns ['x1', 'x3']: columns are ['x2', 'y']"}
+        proc = run_cli("fit", "--train", str(table), "--gamma", "0.1", "--score-column",
+                       "s", "--model-out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"]["message"] == (
+            f"{table} is missing columns ['s']: columns are ['x2', 'y']")
+
+    def test_empty_test_header_only(self, tmp_path):
+        model, _ = self._fit_detector_model(tmp_path, "iforest")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x3,x1,x2\n")
+        proc = run_cli("predict", "--model", str(model), "--test", str(empty))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "score,psi_n,p_anomaly,confidence,decision\n"
 
     def test_tampered_detector_refused_on_empty_test(self, tmp_path):
         model, _ = self._fit_detector_model(tmp_path, "knn")

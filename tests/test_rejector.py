@@ -84,6 +84,23 @@ class TestPredict:
         with pytest.raises(DomainError, match="must be real"):
             predict_batch(rej, np.array([50.0 + 0j, 95.0 + 2j]))
 
+    @pytest.mark.parametrize("scores", [
+        [[0.1, 2.0], [3.0, -1.0]], np.zeros((2, 2, 2)), np.zeros((3, 1, 2)),
+    ], ids=["2x2", "2x2x2", "3x1x2"])
+    def test_scores_that_are_not_a_vector_refused(self, scores):
+        rej = _fit(np.arange(1.0, 101.0), 0.1)
+        with pytest.raises(DomainError, match="must be one-dimensional"):
+            predict_batch(rej, scores)
+
+    @pytest.mark.parametrize("shape", [(), (1, 1), (4, 1), (1, 4), (1, 4, 1)])
+    def test_scores_that_squeeze_to_a_vector_accepted(self, shape):
+        rej = _fit(np.arange(1.0, 101.0), 0.1)
+        scores = np.linspace(0.0, 120.0, int(np.prod(shape))).reshape(shape)
+        batch, flat = predict_batch(rej, scores), predict_batch(rej, scores.ravel())
+        assert len(batch) == scores.size
+        assert batch.decisions == flat.decisions
+        assert batch.psi_n.tolist() == flat.psi_n.tolist()
+
     def test_decisions_from_rejected_then_base_label(self):
         rng = np.random.default_rng(3)
         rej = _fit(rng.normal(size=500), 0.1, T=8.0)

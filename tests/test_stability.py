@@ -26,8 +26,10 @@ from adreject.stability import (
 from oracles import (
     brute_stability,
     brute_training_frequency,
+    exact_cutoff_mismatches,
     full_range_log_binom_tail,
     reject_from_tails,
+    snapped_floor,
 )
 
 
@@ -281,6 +283,23 @@ class TestRejectionCutoffs:
             int(below[0]) if below.size else n + 1,
         )
         assert rejection_cutoffs(n, gamma, tol) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 250, 500, 1000])
+    def test_exact_over_the_tolerance_domain(self, n):
+        # Every non-degenerate map of the grid, against integer arithmetic
+        # at each side of both cutoffs.
+        wrong = {}
+        for gamma in (0.01, 0.05, 0.1, 0.2, 0.3, 0.49):
+            a = snapped_floor(n * gamma)
+            if a == 0:
+                continue
+            for T in (4.0, 8.0, 32.0, 64.0, 256.0, 575.0):
+                tol = ToleranceSpec(T)
+                k_lo, k_hi = rejection_cutoffs(n, gamma, tol)
+                found = exact_cutoff_mismatches(n, a, tol.band_edge, k_lo, k_hi)
+                if found:
+                    wrong[gamma, T] = found
+        assert wrong == {}
 
     @pytest.mark.parametrize("first", [0, 1, 17, 49, 50, 51])
     @pytest.mark.parametrize("guess", [-5.0, 0.0, 16.0, 30.0, 50.0, 80.0, math.nan])
