@@ -33,7 +33,6 @@ import numpy as np
 from .bounds import expected_cost_upper_bound, rejection_rate_estimate
 from .core import (
     CostSpec,
-    DegenerateStabilityMap,
     DomainError,
     EmptyResults,
     InsufficientData,
@@ -41,6 +40,7 @@ from .core import (
     ScoreSet,
     ToleranceSpec,
     _as_float,
+    _as_int,
     _check_labels,
     validate_cost_spec,
     validate_domain,
@@ -231,6 +231,7 @@ _SUITE_FAMILIES = ("gauss", "clusters", "moons")
 
 def synthetic_suite(seed: int = 0) -> list[Dataset]:
     """Deterministic labeled datasets varying family, n, d, and gamma."""
+    seed = _as_int(seed, "seed", 0)
     out = []
     idx = 0
     for family in _SUITE_FAMILIES:
@@ -262,8 +263,11 @@ def make_folds(
 
     The permutation depends only on ``(split_seed, dataset_name, n)``;
     fold ``i`` uses part ``i`` as test and the rest as training.
+    ``n_folds`` must be an integer in ``[2, n]``, ``split_seed`` one >= 0.
     """
-    if n_folds < 2 or n_folds > n:
+    n_folds = _as_int(n_folds, "n_folds", 2)
+    split_seed = _as_int(split_seed, "split_seed", 0)
+    if n_folds > n:
         raise DomainError(f"need 2 <= n_folds <= n, got {n_folds} for n={n}")
     rng = np.random.default_rng([split_seed, _dataset_key(dataset_name), n])
     perm = rng.permutation(n)
@@ -483,10 +487,7 @@ def run_trial(
             # decision itself comes from the shared fit.
             t0 = time.perf_counter()
             _ = ToleranceSpec(tol.T)
-            try:
-                rejection_rate_estimate(train_set, tol)
-            except DegenerateStabilityMap:
-                pass
+            rejection_rate_estimate(train_set, tol)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             rejected = batch.rejected
         elif method == "oracle":
@@ -692,11 +693,12 @@ def run_benchmark(
     (as :func:`compute_fold_scores` scores them), then one
     :func:`run_trial` per fold and detector; results in dataset order.
 
-    Every dataset is checked before any detector work.  The detectors
-    of all datasets are then fitted on one pool of forked workers,
-    largest dataset first, while this process scores and evaluates the
-    datasets in that order.  The exception raised is the one a loop over
-    the datasets in order would raise first.
+    ``T``, ``delta``, ``seed`` and then every dataset are checked before
+    any detector work.  The detectors of all datasets are then fitted on
+    one pool of forked workers, largest dataset first, while this
+    process scores and evaluates the datasets in that order.  The
+    exception raised is the one a loop over the datasets in order would
+    raise first.
 
     With ``scores_only`` each dataset's single feature column is taken
     as a precomputed anomaly score and no detectors are fitted.
@@ -714,6 +716,9 @@ def _benchmark_outcomes(datasets, detector_kinds, preset, T, delta, n_folds, see
     that stopped it, in dataset order (:func:`_scores_in_turn`); a
     failure that is not ``skippable`` stops every later dataset."""
     tol = ToleranceSpec(T)
+    delta = _as_float(delta, "delta")
+    validate_domain(delta=delta)
+    seed = _as_int(seed, "seed", 0)
     jobs, costs = [], {}
     for dataset in datasets:
         try:

@@ -153,16 +153,13 @@ def rejection_rate_estimate(train: ScoreSet, tol: ToleranceSpec) -> RateEstimate
     ``j_i = |{s <= s_i}|`` lies below ``k_lo`` (confident normals),
     ``B`` the fraction below ``k_hi``, and ``r_hat = B - A``, which is
     exactly the fraction of training scores :func:`adreject.rejector.fit`
-    rejects in sample.  ``fit`` counts the same cutoffs in its table
-    instead of searching; this is the standalone label-free step.  Works
-    for every ``T`` the tolerance accepts up to the ``1e-250`` floor of
-    the tail routine (``T`` about 575).
-
-    Raises
-    ------
-    DegenerateStabilityMap
-        If ``floor(n * gamma) == 0``: nothing is ever rejected there, and
-        ``fit`` reports the estimate ``(1, 1)``.
+    rejects in sample.  ``fit`` takes the same cutoffs and reports this
+    same estimate; this is the standalone label-free step, without the
+    band and the table of tails.  A degenerate map
+    (``floor(n * gamma) == 0``) rejects nothing: the cutoffs are
+    ``(n + 1, n + 1)`` and the estimate ``(1, 1)``.  Works for every
+    ``T`` the tolerance accepts up to the ``1e-250`` floor of the tail
+    routine (``T`` about 575).
     """
     k_lo, k_hi = rejection_cutoffs(train.n, train.gamma, tol)
     return RateEstimate(

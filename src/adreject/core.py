@@ -9,6 +9,7 @@ package and enforce their domains at construction time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -174,6 +175,16 @@ def _as_float(value, name: str) -> float:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _as_int(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` of at least ``least``, refusing anything
+    but an integer (numpy's too; not ``bool``) with a ``DomainError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _check_labels(labels, n: int) -> np.ndarray:

@@ -28,7 +28,6 @@ fold from one neighbour query (``_fold_neighbours``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .core import (
     DomainError,
     InsufficientData,
     NonFiniteInput,
+    _as_int,
     _as_real_array,
 )
 
@@ -71,12 +71,7 @@ class DetectorSpec:
             )
         for name, least in (("k", 1), ("n_trees", 1), ("subsample", 2), ("n_bins", 1),
                             ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise DomainError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
 
 
 def _check_kinds(kinds) -> None:

@@ -4,9 +4,10 @@ The decision threshold ``lambda`` is the ``ceil(n * gamma)``-th largest
 training score; scores at or above it are predicted anomalous.  A
 prediction is replaced by ``Reject`` when both tails of its stability
 distribution are at least ``exp(-T)``.  Both depend only on the score's
-training count ``j``, so :func:`fit` settles the rule once as two
-integer cutoffs, and a score is rejected iff ``k_lo <= j < k_hi``: no
-labels, no search.  (Stated on confidence, that is ``confidence <= 1 -
+training count ``j``, so :func:`fit` settles the rule once as the two
+integer cutoffs of :func:`adreject.stability.rejection_cutoffs`, and a
+score is rejected iff ``k_lo <= j < k_hi``: no labels, and no search at
+prediction time.  (Stated on confidence, that is ``confidence <= 1 -
 2 exp(-T)``, but only while that threshold stays below 1.0, i.e. for
 ``T`` below about 38.1.)
 """
@@ -43,6 +44,7 @@ from .core import (
 from .detectors import DetectorSpec
 from .stability import (
     confidence as _confidence,
+    rejection_cutoffs,
     stability_tails,
     training_frequency,  # noqa: F401 -- perfbench/spans.py times calls through this name
 )
@@ -137,23 +139,18 @@ class FittedRejector:
 
 
 def fit(train: ScoreSet, tol: ToleranceSpec, delta: float = 0.05) -> FittedRejector:
-    """Fit the rejector: threshold, band, rate estimate, and the table of
-    ``n + 1`` stability tails with its two rejection cutoffs.
+    """Fit the rejector: threshold, band, the table of ``n + 1`` stability
+    tails, and the cutoffs of :func:`rejection_cutoffs` with their estimate.
 
-    Never raises on degenerate inputs (``floor(n * gamma) == 0``); the
-    fitted rejector then predicts without ever rejecting and reports a
-    zero rate estimate.
+    Never raises on degenerate inputs (``floor(n * gamma) == 0``): the
+    cutoffs are then ``(n + 1, n + 1)``, so nothing is ever rejected and
+    the estimate is ``(1, 1)``, a zero rate.
     """
     n = train.n
     band = rejection_band(n, train.gamma, tol.T, delta)
-    upper, lower = stability_tails(np.arange(n + 1) / n, n, train.gamma)
+    upper, _ = stability_tails(np.arange(n + 1) / n, n, train.gamma)
     upper.setflags(write=False)
-    edge = tol.band_edge
-    # The upper tail rises and the lower falls with j, so each cutoff is
-    # a count of table entries; degenerate tables (0 and 1) give n + 1,
-    # and so the estimate (1, 1).
-    k_lo = int(np.count_nonzero(upper < edge))
-    k_hi = int(np.count_nonzero(lower >= edge))
+    k_lo, k_hi = rejection_cutoffs(n, train.gamma, tol)
     return FittedRejector(
         train=train,
         tol=tol,

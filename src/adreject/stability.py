@@ -270,20 +270,15 @@ def rejection_cutoffs(n: int, gamma: float, tol: ToleranceSpec) -> tuple[int, in
     the continuous inverse of the tail and decided on the tails exactly
     as :func:`stability_tails` computes them at ``psi_n = j / n``.
     Deciding the upper edge on the lower tail keeps ``1 - exp(-T)`` from
-    rounding to 1 at large ``T``.
-
-    Raises
-    ------
-    DegenerateStabilityMap
-        If ``floor(n * gamma) == 0``: nothing is ever rejected.
+    rounding to 1 at large ``T``.  When ``floor(n * gamma) == 0`` the
+    upper tail is 0 and the lower 1 at every count, so the pair is
+    ``(n + 1, n + 1)``: nothing is rejected.
     """
     validate_domain(n=n, gamma=gamma)
     edge = tol.band_edge
     a = anomaly_count(n, gamma)
     if a == 0:
-        raise DegenerateStabilityMap(
-            f"floor(n * gamma) == 0 for n={n}, gamma={gamma}"
-        )
+        return n + 1, n + 1
     k = n - a + 1
 
     def q(j: int) -> float:

@@ -22,10 +22,10 @@ from .bounds import (
     raw_band_edges,
 )
 from .core import (
-    DegenerateStabilityMap,
     DomainError,
     ScoreSet,
     ToleranceSpec,
+    _as_int,
     anomaly_count,
 )
 from .detectors import DETECTOR_KINDS, DetectorSpec, fit_detector
@@ -150,10 +150,7 @@ def band_cover_check(
             for T in Ts:
                 t1, t2 = band_edges(n, gamma, T)
                 points += n + 1
-                try:
-                    k_lo, k_hi = rejection_cutoffs(n, gamma, ToleranceSpec(T))
-                except DegenerateStabilityMap:  # nothing is ever rejected
-                    k_lo, k_hi = n + 1, n + 1
+                k_lo, k_hi = rejection_cutoffs(n, gamma, ToleranceSpec(T))
                 if k_lo < k_hi and not (t1 <= k_lo / n and (k_hi - 1) / n <= t2):
                     violations.append((n, gamma, T, "cover"))
                     continue
@@ -453,10 +450,11 @@ def default_verification(
 
     ``t_min`` drops grid T values below it (it must itself be >= 4;
     the CLI refuses smaller values before getting here).  ``trials``
-    must be >= 1; ``quick`` fixes the trial counts instead.
+    must be an integer of at least 1 (``quick`` fixes the trial counts
+    instead) and ``seed`` one of at least 0.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = _as_int(trials, "trials", 1)
+    seed = _as_int(seed, "seed", 0)
     if not 4.0 <= t_min <= max(GRID_TS):
         raise DomainError(
             f"t_min must lie in [4, {max(GRID_TS)}], got {t_min}"

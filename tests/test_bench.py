@@ -1,4 +1,5 @@
 import csv
+import math
 import multiprocessing
 import re
 import tempfile
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
+from scipy.stats import binom, rankdata
 
 import adreject.bench as bench
 import adreject.tables as tables
@@ -431,6 +432,15 @@ class TestSyntheticSuite:
         b = synthetic_suite(seed=1)[0]
         assert not np.array_equal(a.X, b.X)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_seed_refused(self, seed, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            synthetic_suite(seed)
+
     def test_label_fractions_match_gamma(self):
         for ds in synthetic_suite(seed=0):
             assert abs(ds.labels.mean() - ds.gamma) <= 1.0 / len(ds.labels)
@@ -475,6 +485,24 @@ class TestFolds:
     def test_too_few_rows(self):
         with pytest.raises(DomainError):
             make_folds(4, 5, split_seed=0)
+
+    @pytest.mark.parametrize("n_folds, split_seed, message", [
+        (2.5, 0, "n_folds must be an integer, got 2.5"),
+        ("5", 0, "n_folds must be an integer, got '5'"),
+        (True, 0, "n_folds must be an integer, got True"),
+        (1, 0, "n_folds must be >= 2, got 1"),
+        (3, 1.5, "split_seed must be an integer, got 1.5"),
+        (3, None, "split_seed must be an integer, got None"),
+        (3, -1, "split_seed must be >= 0, got -1"),
+    ])
+    def test_integer_arguments_refused(self, n_folds, split_seed, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make_folds(10, n_folds, split_seed)
+
+    def test_numpy_integers_taken_as_int(self):
+        a = make_folds(10, np.int64(3), np.uint8(4), "x")
+        b = make_folds(10, 3, 4, "x")
+        assert all(np.array_equal(x, y) for fa, fb in zip(a, b) for x, y in zip(fa, fb))
 
     def test_detector_seed_distinct(self):
         seeds = {
@@ -726,6 +754,21 @@ class TestRunBenchmarkRefusesBeforeWork:
                           custom_costs=costs)
         assert calls() == ["_fold_fitter(0)"]
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(T=3.0), "T must be >= 4 and finite, got 3.0"),
+         (dict(delta=2.0), "delta must lie in (0, 1), got 2.0"),
+         (dict(delta=None), "delta must be a real number, got None"),
+         (dict(seed=-1), "seed must be >= 0, got -1"),
+         (dict(seed=1.5), "seed must be an integer, got 1.5")],
+        ids=["T", "delta-above-1", "delta-none", "seed-negative", "seed-float"],
+    )
+    def test_run_parameters_refused_first(self, monkeypatch, tmp_path, kwargs, message):
+        calls = self._spy(monkeypatch, tmp_path)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_benchmark([self._dataset()], **{"T": 8.0, **kwargs})
+        assert calls() == []
+
     def test_repeated_kind_fits_nothing(self, monkeypatch, tmp_path):
         calls = self._spy(monkeypatch, tmp_path)
         with pytest.raises(DomainError, match="^detector kind 'hbos' is named twice$"):
@@ -757,6 +800,35 @@ def test_run_benchmark_makes_one_fold_plan_per_dataset(monkeypatch, scores_only)
                             scores_only=scores_only)
     assert calls == ["a", "b"]
     assert len(results) == 2 * (1 if scores_only else 2) * 3 * len(METHODS)
+
+
+def test_certificates_hold_on_the_research_loop():
+    # Each rejex trial's test rejection rate against h, and its test cost
+    # against the cost bound, both widened by a Hoeffding slack for the m
+    # test rows at delta' = 0.05.  Under i.i.d. data a trial exceeds
+    # either with probability about delta' at most, so the count of
+    # exceedances is tested against Binomial(trials, delta').  Trials
+    # that share a dataset (its folds overlap, its detectors share
+    # rows) are not independent, so this level is approximate.
+    level, T, delta = 0.05, 32.0, 0.05
+    rate_over, cost_over, gaps = 0, 0, []
+    for seed in (0, 1):
+        suite = synthetic_suite(seed)
+        c_max = {ds.name: max(vars(cost_preset("q1", ds.gamma)).values()) for ds in suite}
+        for r in run_benchmark(suite, preset="q1", T=T, delta=delta, seed=seed):
+            if r.method != "rejex":
+                continue
+            slack = math.sqrt(math.log(1.0 / level) / (2.0 * r.n_test))
+            rate_over += r.rejection_rate > r.bound_h + slack
+            cost_over += r.cost_per_example > r.cost_bound + c_max[r.dataset] * slack
+            gaps.append(abs(r.rejection_rate - r.r_hat))
+    trials = len(gaps)
+    assert trials == 2 * 9 * len(DETECTOR_KINDS) * 5
+    tails = [binom.sf(count - 1, trials, level) for count in (rate_over, cost_over)]
+    message = (f"rate > h + slack in {rate_over}, cost > bound + slack in {cost_over} "
+               f"of {trials} trials (binomial tails {tails[0]:.3g}, {tails[1]:.3g}); "
+               f"mean |rate - r_hat| {np.mean(gaps):.4f}")
+    assert min(tails) >= level, message
 
 
 class TestFoldWorkers:

@@ -13,7 +13,6 @@ from adreject.bounds import (
 )
 from adreject.core import (
     CostSpec,
-    DegenerateStabilityMap,
     DomainError,
     ScoreSet,
     ToleranceSpec,
@@ -153,10 +152,13 @@ class TestRateEstimate:
         frac = predict_batch(rej, train.scores).rejected.mean()
         assert rej.estimate.r_hat == pytest.approx(frac, abs=1e-12)
 
-    def test_degenerate_raises(self):
-        train = ScoreSet(np.arange(9.0), 0.1)  # floor(9 * 0.1) == 0
-        with pytest.raises(DegenerateStabilityMap):
-            rejection_rate_estimate(train, ToleranceSpec(8.0))
+    def test_degenerate_estimate_is_fits(self):
+        # floor(9 * 0.1) == 0: nothing is rejected, and the estimate is fit's.
+        train = ScoreSet(np.arange(9.0), 0.1)
+        tol = ToleranceSpec(8.0)
+        est = rejection_rate_estimate(train, tol)
+        assert est == RateEstimate(1.0, 1.0)
+        assert est == fit(train, tol).estimate
 
 
 class TestCostBound:

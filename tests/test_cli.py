@@ -564,6 +564,13 @@ class TestVerify:
         assert proc.stdout == ""
         assert "--trials must be >= 1" in json.loads(proc.stderr)["error"]["message"]
 
+    def test_negative_seed_exit_2(self):
+        proc = run_cli("verify", "--quick", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "DomainError", "message": "seed must be >= 0, got -1"}
+
 
 class TestBench:
     def _write_dataset(self, tmp_path):
@@ -648,8 +655,9 @@ class TestBench:
             ("--delta", "2", "delta must lie in (0, 1)"),
             ("--detectors", ",", "--detectors names no detector"),
             ("--detectors", "hbos,hbos", "detector kind 'hbos' is named twice"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
         ],
-        ids=["folds", "t-tolerance", "delta", "detectors", "detectors-repeated"],
+        ids=["folds", "t-tolerance", "delta", "detectors", "detectors-repeated", "seed"],
     )
     def test_folds_below_2_exit_2(self, tmp_path, flag, value, message):
         # Bad bench flags are refused before any dataset loads.

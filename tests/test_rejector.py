@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreject.bounds import rejection_rate_estimate
 from adreject.core import (
@@ -34,7 +36,7 @@ from adreject.stability import (
     training_frequency,
 )
 
-from oracles import brute_cost, reject_from_tails
+from oracles import brute_cost, exact_cutoff_mismatches, reject_from_tails, snapped_floor
 
 
 def _fit(scores, gamma, T=8.0):
@@ -181,25 +183,56 @@ class TestCountTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 99, 100, 101, 1000, 5000, 20000])
     def test_cutoffs_equal_rejection_cutoffs(self, n):
-        # fit counts its table; rejection_cutoffs searches the same tails.
+        # The oracle is the count rule on the whole table: the first count
+        # whose upper tail reaches exp(-T) and the first whose lower tail
+        # falls below it, n + 1 when none does (so on degenerate maps too).
         scores = np.random.default_rng(n).normal(size=n)
         for gamma in (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.49):
             train = ScoreSet(scores, gamma)
+            upper, lower = stability_tails(np.arange(n + 1) / n, n, gamma)
             for T in (4.0, 5.5, 8.0, 16.0, 32.0, 38.5, 64.0, 128.0, 256.0, 575.0):
                 tol = ToleranceSpec(T)
                 rej = fit(train, tol)
-                got = (rej.k_lo, rej.k_hi)
-                if anomaly_count(n, gamma) == 0:
-                    assert rej.degenerate and got == (n + 1, n + 1)
-                    continue
-                assert not rej.degenerate
-                assert got == rejection_cutoffs(n, gamma, tol), (n, gamma, T)
+                reach = np.flatnonzero(upper >= tol.band_edge)
+                below = np.flatnonzero(lower < tol.band_edge)
+                want = (int(reach[0]) if reach.size else n + 1,
+                        int(below[0]) if below.size else n + 1)
+                assert (rej.k_lo, rej.k_hi) == want, (n, gamma, T)
+                assert rej.degenerate == (anomaly_count(n, gamma) == 0)
+                if rej.degenerate:
+                    assert want == (n + 1, n + 1)
                 assert rej.estimate == rejection_rate_estimate(train, tol)
 
     def test_degenerate_cutoffs_reject_nothing(self):
         rej = _fit(np.arange(9.0), 0.1)  # floor(9 * 0.1) == 0
         assert rej.degenerate
         assert rej.k_lo == rej.k_hi == 10
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 600),
+        gamma=st.floats(0.0, 0.5, exclude_max=True),
+        T=st.floats(4.0, 575.6),
+        levels=st.integers(1, 1000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_statement_of_the_count_rule(self, n, gamma, T, levels, seed):
+        # rejection_cutoffs is exact in integers on a non-degenerate map and
+        # (n + 1, n + 1) on a degenerate one; fit and the standalone
+        # estimate take their cutoffs from it.
+        tol = ToleranceSpec(T)
+        cutoffs = rejection_cutoffs(n, gamma, tol)
+        a = snapped_floor(n * gamma)
+        if a == 0:
+            assert cutoffs == (n + 1, n + 1)
+        else:
+            assert exact_cutoff_mismatches(n, a, tol.band_edge, *cutoffs) == []
+        # Few levels give heavy ties; more levels than scores mostly none.
+        scores = np.random.default_rng(seed).integers(0, levels, n).astype(float)
+        train = ScoreSet(scores, gamma)
+        rej = fit(train, tol)
+        assert (rej.k_lo, rej.k_hi) == cutoffs
+        assert rejection_rate_estimate(train, tol) == rej.estimate
 
 
 class TestLargeTolerance:

@@ -314,8 +314,8 @@ class TestRejectionCutoffs:
         assert all(0 <= j <= 50 for j in calls)
 
     def test_degenerate_map(self):
-        with pytest.raises(DegenerateStabilityMap):
-            rejection_cutoffs(9, 0.1, ToleranceSpec(8.0))
+        # floor(9 * 0.1) == 0: no count is ever rejected.
+        assert rejection_cutoffs(9, 0.1, ToleranceSpec(8.0)) == (10, 10)
 
     def test_tolerance_below_trust_floor_refused(self):
         rejection_cutoffs(100, 0.1, ToleranceSpec(575.0))

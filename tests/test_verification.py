@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,21 @@ class TestDefaultVerification:
     def test_trials_validation(self, quick):
         with pytest.raises(DomainError):
             default_verification(trials=0, quick=quick)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trials=2.5), "trials must be an integer, got 2.5"),
+        (dict(trials=True), "trials must be an integer, got True"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(seed="0"), "seed must be an integer, got '0'"),
+    ])
+    def test_integer_arguments_refused_before_any_check(self, monkeypatch, kwargs,
+                                                        message):
+        def check(*args, **kw):
+            raise AssertionError("a check ran before the refusal")
+
+        monkeypatch.setattr(verification, "exact_binomial_check", check)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            default_verification(**kwargs)
 
 
 class TestBandCoverCheck:
